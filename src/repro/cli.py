@@ -415,11 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of baseline throughput that still passes (default 0.5)",
     )
     bench.add_argument(
-        "--no-batch", action="store_true",
-        help="disable coalesced event dispatch for this run (gates the "
-        "per-frame data plane; batch-only baseline keys are skipped)",
-    )
-    bench.add_argument(
         "--no-scale", action="store_true",
         help="skip the campus-scale suite when checking (scale baseline "
         "keys are then allowed missing)",
@@ -847,7 +842,6 @@ def _cmd_bench(args, out) -> int:
 
     from repro.perf import PERF
     from repro.perf.bench import (
-        BATCH_ONLY_BENCHMARKS,
         DEFAULT_TOLERANCE,
         check,
         format_results,
@@ -855,12 +849,6 @@ def _cmd_bench(args, out) -> int:
         run_suite,
         write_baseline,
     )
-
-    if args.no_batch:
-        # Process-wide: every Simulator built by the suite inherits it.
-        import repro.sim.simulator as _simulator
-
-        _simulator.DEFAULT_BATCHING = False
 
     if args.baseline is not None:
         baseline_path = Path(args.baseline)
@@ -875,10 +863,6 @@ def _cmd_bench(args, out) -> int:
     out.write(f"# perf: {PERF.summary()}\n")
 
     if args.update:
-        if args.no_batch:
-            out.write("# refusing --update with --no-batch: the baseline "
-                      "must carry the batched headline\n")
-            return 2
         write_baseline(baseline_path, results)
         out.write(f"# baseline written to {baseline_path}\n")
         return 0
@@ -889,13 +873,12 @@ def _cmd_bench(args, out) -> int:
         tolerance = (
             args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         )
-        allow_missing = BATCH_ONLY_BENCHMARKS if args.no_batch else frozenset()
+        allow_missing = frozenset()
 
         # Fold the campus-scale gate in: BENCH_scale.json keys join the
         # baseline, and whichever of them this run legitimately skips
-        # (--no-scale / --no-batch: the churn cells measure the batched
-        # plane; --quick: the 10k cell is full-mode only) joins the
-        # allow-missing set — same mechanism as BATCH_ONLY_BENCHMARKS.
+        # (--no-scale; --quick: the 10k cell is full-mode only) joins the
+        # allow-missing set.
         from repro.perf.scale import (
             DEFAULT_SCALE_BASELINE,
             SCALE_BENCHMARKS,
@@ -906,7 +889,7 @@ def _cmd_bench(args, out) -> int:
         scale_path = baseline_path.parent / DEFAULT_SCALE_BASELINE
         if scale_path.exists():
             baseline = {**baseline, **load_baseline(scale_path)}
-            if args.no_scale or args.no_batch:
+            if args.no_scale:
                 allow_missing = allow_missing | SCALE_BENCHMARKS
             else:
                 scale_results = run_scale_suite(quick=args.quick)
@@ -916,9 +899,6 @@ def _cmd_bench(args, out) -> int:
                     allow_missing = allow_missing | SCALE_FULL_ONLY
 
         # And the replay-ingest gate: same fold, BENCH_replay.json keys.
-        # (The replay engine delivers straight into the monitor RX path,
-        # not through coalesced event dispatch, so --no-batch does not
-        # skip it — only an explicit --no-replay does.)
         from repro.perf.replay import (
             DEFAULT_REPLAY_BASELINE,
             REPLAY_BENCHMARKS,

@@ -28,17 +28,20 @@ and nothing attributed the failure to the scheme that installed it.
   tuple (``if point.hooks:``), the same cost as the old empty-list
   check, so ``repro bench --check`` stays flat with no schemes
   installed.
+* **One loop, traced or not** — while the tracer is on, every hook
+  call is recorded as a ``scheme.inspect`` span attributed to its
+  scheme (unlabeled ``emit`` taps excepted); untraced, that costs one
+  flag check per hook.
 
 Dispatch modes match the calling conventions of the legacy surfaces:
 :meth:`~HookPoint.emit` (notify-all: frame taps), :meth:`~HookPoint.verdict`
 (first non-``None`` wins: ARP guards), :meth:`~HookPoint.allow`
 (all-must-allow: ingress filters) and :meth:`~HookPoint.transform`
-(value-rewriting chain: forward taps).  The batched data plane adds
-opt-in batch modes — :meth:`~HookPoint.emit_batch` and
-:meth:`~HookPoint.transform_batch` — which cost an idle pipeline one
-truthiness check per *batch* instead of per frame, unroll per-frame
-hooks transparently, and hand the whole batch to hooks registered with
-``add(..., batch=True)``.  :class:`TeardownStack` gives
+(value-rewriting chain: forward taps).  :meth:`~HookPoint.emit_batch`
+and :meth:`~HookPoint.transform_batch` run a whole frame batch through
+:meth:`~HookPoint.emit` / :meth:`~HookPoint.transform` item by item, at
+the cost of one truthiness check per *batch* when the point is idle.
+:class:`TeardownStack` gives
 scheme teardown the same isolation guarantees; :class:`Pipeline` groups
 the hook points of one device under its node label.
 """
@@ -49,7 +52,7 @@ import itertools
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.registry import REGISTRY
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, ObsEvent
 from repro.perf import PERF
 
 __all__ = [
@@ -95,25 +98,16 @@ def hook_drops_counter():
 class Hook:
     """One installed hook: the callable plus its dispatch metadata."""
 
-    __slots__ = ("fn", "priority", "owner", "seq", "active", "batch")
+    __slots__ = ("fn", "priority", "owner", "seq", "active")
 
     def __init__(
-        self,
-        fn: Callable,
-        priority: int,
-        owner: Optional[str],
-        seq: int,
-        batch: bool = False,
+        self, fn: Callable, priority: int, owner: Optional[str], seq: int
     ) -> None:
         self.fn = fn
         self.priority = priority
         self.owner = owner
         self.seq = seq
         self.active = True
-        #: Batch-aware hooks opt in to receiving a whole item batch in one
-        #: call from the ``*_batch`` dispatch modes; per-frame hooks get an
-        #: unrolled loop instead.
-        self.batch = batch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self.active else "removed"
@@ -146,7 +140,6 @@ class HookPoint:
         "_entries",
         "hooks",
         "_seq",
-        "has_batch_hooks",
     )
 
     def __init__(
@@ -166,9 +159,6 @@ class HookPoint:
         #: Snapshot tuple for hot paths: ``if point.hooks:`` is as cheap
         #: as the old empty-list check and is what dispatch iterates.
         self.hooks: Tuple[Hook, ...] = ()
-        #: True when any installed hook opted into batch dispatch
-        #: (precomputed so ``*_batch`` modes pick their path in O(1)).
-        self.has_batch_hooks = False
         self._seq = itertools.count()
 
     # ------------------------------------------------------------------
@@ -179,7 +169,6 @@ class HookPoint:
         fn: Callable,
         priority: int = 0,
         owner: Optional[str] = None,
-        batch: bool = False,
     ) -> Callable[[], None]:
         """Install ``fn``; returns a one-shot, idempotent removal token.
 
@@ -187,15 +176,10 @@ class HookPoint:
         ``_obs_scheme`` label applied by ``Scheme._mark_hook`` is used
         (bound methods proxy attribute reads to their function).  Lower
         ``priority`` runs earlier; ties keep insertion order.
-
-        ``batch=True`` opts the hook into batch dispatch: the ``*_batch``
-        modes call it once per batch with the whole item sequence instead
-        of once per item.  Opting in trades the per-frame interleaving
-        guarantee for throughput — see :meth:`emit_batch`.
         """
         if owner is None:
             owner = getattr(fn, "_obs_scheme", None)
-        hook = Hook(fn, priority, owner, next(self._seq), batch=batch)
+        hook = Hook(fn, priority, owner, next(self._seq))
         self._entries.append(hook)
         self._entries.sort(key=lambda h: (h.priority, h.seq))
         self._rebuild()
@@ -214,7 +198,6 @@ class HookPoint:
 
     def _rebuild(self) -> None:
         self.hooks = tuple(self._entries)
-        self.has_batch_hooks = any(hook.batch for hook in self._entries)
 
     # -- list-compatible surface (attack tools, ad-hoc test taps) -------
     def append(self, fn: Callable) -> None:
@@ -281,43 +264,41 @@ class HookPoint:
     # ------------------------------------------------------------------
     # Dispatch modes
     # ------------------------------------------------------------------
+    def _inspected(
+        self, hook: Hook, start: float, frame, verdict: Optional[str] = None
+    ) -> None:
+        """Record the ``scheme.inspect`` span of one traced hook call.
+
+        The span is recorded when the call returns, after any event the
+        hook emitted, exactly where a context-managed span would close.
+        """
+        attrs = {"scheme": hook.owner or self.fallback_label, "node": self.node,
+                 "frame": frame}
+        if verdict is not None:
+            attrs["verdict"] = verdict
+        TRACER.record(
+            ObsEvent("scheme.inspect", start, TRACER.now() - start, "span", attrs)
+        )
+
     def emit(self, *args) -> None:
         """Notify every hook; exceptions are isolated regardless of policy."""
         hooks = self.hooks
         if not hooks:
             return
-        if TRACER.enabled:
-            self._emit_traced(hooks, args)
-            return
+        traced = TRACER.enabled
         for hook in hooks:
             if not hook.active:
                 continue
+            if traced:
+                start, frame = TRACER.now(), TRACER.current_frame
             try:
                 hook.fn(*args)
             except Exception as exc:
                 self._isolate(hook, exc)
-
-    def _emit_traced(self, hooks: Tuple[Hook, ...], args) -> None:
-        tracer = TRACER
-        fid = tracer.current_frame
-        for hook in hooks:
-            if not hook.active:
-                continue
-            if hook.owner is None:
-                # Unlabeled taps (attack sniffers, test probes) are not
-                # scheme inspections; call them without a span.
-                try:
-                    hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
-                continue
-            with tracer.span(
-                "scheme.inspect", scheme=hook.owner, node=self.node, frame=fid
-            ):
-                try:
-                    hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
+            # Unlabeled taps (attack sniffers, test probes) are not
+            # scheme inspections; they get no span.
+            if traced and hook.owner is not None:
+                self._inspected(hook, start, frame)
 
     def verdict(self, *args) -> Optional[bool]:
         """First non-``None`` return wins (ARP-guard convention).
@@ -328,49 +309,31 @@ class HookPoint:
         hooks = self.hooks
         if not hooks:
             return None
-        if TRACER.enabled:
-            return self._verdict_traced(hooks, args)
+        traced = TRACER.enabled
         for hook in hooks:
             if not hook.active:
                 continue
+            if traced:
+                start, frame = TRACER.now(), TRACER.current_frame
             try:
                 value = hook.fn(*args)
             except Exception as exc:
                 self._isolate(hook, exc)
+                if traced:
+                    self._inspected(hook, start, frame, "error")
                 if self.policy == FAIL_CLOSED:
                     self._count_drop(hook)
                     return False
                 continue
+            if traced:
+                self._inspected(
+                    hook, start, frame,
+                    None if value is None else "accept" if value else "drop",
+                )
             if value is not None:
                 if value is False:
                     self._count_drop(hook)
                 return value
-        return None
-
-    def _verdict_traced(self, hooks: Tuple[Hook, ...], args) -> Optional[bool]:
-        tracer = TRACER
-        fid = tracer.current_frame
-        for hook in hooks:
-            if not hook.active:
-                continue
-            scheme = hook.owner or self.fallback_label
-            with tracer.span(
-                "scheme.inspect", scheme=scheme, node=self.node, frame=fid
-            ) as span:
-                try:
-                    value = hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
-                    span.set(verdict="error")
-                    if self.policy == FAIL_CLOSED:
-                        self._count_drop(hook)
-                        return False
-                    continue
-                if value is not None:
-                    span.set(verdict="accept" if value else "drop")
-                    if value is False:
-                        self._count_drop(hook)
-                    return value
         return None
 
     def allow(self, *args) -> Tuple[bool, Optional[str]]:
@@ -383,49 +346,27 @@ class HookPoint:
         hooks = self.hooks
         if not hooks:
             return (True, None)
-        if TRACER.enabled:
-            return self._allow_traced(hooks, args)
+        traced = TRACER.enabled
         for hook in hooks:
             if not hook.active:
                 continue
+            if traced:
+                start, frame = TRACER.now(), TRACER.current_frame
             try:
                 ok = hook.fn(*args)
             except Exception as exc:
                 self._isolate(hook, exc)
+                if traced:
+                    self._inspected(hook, start, frame, "error")
                 if self.policy == FAIL_CLOSED:
                     self._count_drop(hook)
                     return (False, hook.owner or self.fallback_label)
                 continue
+            if traced:
+                self._inspected(hook, start, frame, "allow" if ok else "drop")
             if not ok:
                 self._count_drop(hook)
                 return (False, hook.owner or self.fallback_label)
-        return (True, None)
-
-    def _allow_traced(
-        self, hooks: Tuple[Hook, ...], args
-    ) -> Tuple[bool, Optional[str]]:
-        tracer = TRACER
-        fid = tracer.current_frame
-        for hook in hooks:
-            if not hook.active:
-                continue
-            scheme = hook.owner or self.fallback_label
-            with tracer.span(
-                "scheme.inspect", scheme=scheme, node=self.node, frame=fid
-            ) as span:
-                try:
-                    ok = hook.fn(*args)
-                except Exception as exc:
-                    self._isolate(hook, exc)
-                    span.set(verdict="error")
-                    if self.policy == FAIL_CLOSED:
-                        self._count_drop(hook)
-                        return (False, scheme)
-                    continue
-                span.set(verdict="allow" if ok else "drop")
-            if not ok:
-                self._count_drop(hook)
-                return (False, scheme)
         return (True, None)
 
     def transform(self, value, *args):
@@ -449,78 +390,34 @@ class HookPoint:
         return value
 
     # ------------------------------------------------------------------
-    # Batch dispatch modes (the batched data plane)
+    # Batch dispatch modes
     # ------------------------------------------------------------------
     def emit_batch(self, items, *args) -> None:
-        """Notify hooks of a whole item batch in one dispatch.
+        """:meth:`emit` for every item of a batch, in batch order.
 
         ``items`` is a sequence of argument tuples (one per frame); each
-        hook also receives ``*args`` appended.  An idle pipeline costs
-        exactly one truthiness check for the entire batch.  When no hook
-        opted into batch dispatch, items are unrolled item-outer — each
-        item visits every hook before the next item, byte-for-byte the
-        per-frame :meth:`emit` order.  Batch-aware hooks
-        (``add(..., batch=True)``) are called once with the whole batch
-        at their priority position; mixing batch-aware and per-frame
-        hooks switches the loop to hook-outer, which is part of what a
-        hook opts into.
+        hook also receives ``*args`` appended.  Each item visits every
+        hook before the next item.  An idle point costs one truthiness
+        check for the whole batch.
         """
-        hooks = self.hooks
-        if not hooks:
+        if not self.hooks:
             return
-        if not self.has_batch_hooks:
-            emit = self.emit
-            for item in items:
-                emit(*item, *args)
-            return
-        for hook in hooks:
-            if not hook.active:
-                continue
-            try:
-                if hook.batch:
-                    hook.fn(items, *args)
-                else:
-                    fn = hook.fn
-                    for item in items:
-                        fn(*item, *args)
-            except Exception as exc:
-                self._isolate(hook, exc)
+        emit = self.emit
+        for item in items:
+            emit(*item, *args)
 
     def transform_batch(self, values, *args):
-        """Value-rewriting chain over a batch of values.
+        """:meth:`transform` of every value of a batch, in batch order.
 
-        Semantics match running :meth:`transform` on each value in order
-        — per-frame hooks see one value at a time, in batch order, with
-        identical fault isolation — so the fault injector's per-link
-        impairments draw randomness in exactly the wire order whether or
-        not frames arrive batched.  Batch-aware hooks receive (and may
-        replace) the whole value list in one call.  Returns the (new)
-        list of transformed values.
+        Hooks see one value at a time, with :meth:`transform`'s fault
+        isolation, so the fault injector's per-link impairments draw
+        randomness in exactly the wire order.  Returns the list of
+        transformed values.
         """
-        hooks = self.hooks
-        if not hooks:
+        if not self.hooks:
             return list(values)
-        if not self.has_batch_hooks:
-            transform = self.transform
-            return [transform(value, *args) for value in values]
-        out = list(values)
-        for hook in hooks:
-            if not hook.active:
-                continue
-            try:
-                if hook.batch:
-                    replacement = hook.fn(out, *args)
-                    if replacement is not None:
-                        out = list(replacement)
-                else:
-                    fn = hook.fn
-                    for i, value in enumerate(out):
-                        replacement = fn(value, *args)
-                        if replacement is not None:
-                            out[i] = replacement
-            except Exception as exc:
-                self._isolate(hook, exc)
-        return out
+        transform = self.transform
+        return [transform(value, *args) for value in values]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,26 +6,24 @@ propagation latency and serialization rate.  Every link can host a
 :class:`~repro.sim.trace.TraceRecorder`, which is how sniffers and the
 evaluation's overhead accounting observe traffic.
 
-The wire is also where the batched data plane engages: when the owning
-simulator has ``batching`` on (and tracing is off — traced runs keep
-exact per-frame dispatch so span/provenance semantics never fork),
-:meth:`Link.carry` coalesces same-instant deliveries to one receiver
-into a single ``deliver_batch`` flush instead of one event per frame,
-and :meth:`Port.transmit_batch` lets a flooding switch hand a whole
-frame batch to each egress link in one call.  Fault-injection hooks on
-:attr:`Link.faults` still transform every frame individually (same hook
-order, same RNG draw order), so ``repro.faults`` semantics are identical
-on both paths.
+Every frame takes one delivery path, built for batches: a port hands its
+link a frame batch (:meth:`Port.transmit_batch`), the link hands each
+frame to :meth:`Simulator.coalesce <repro.sim.simulator.Simulator.coalesce>`
+at its arrival time, and the receiving port passes what arrives together
+to :meth:`Device.on_frame_batch`.  The single-frame methods
+(:meth:`Port.transmit`, :meth:`Link.carry`, :meth:`Port.deliver`) are
+batches of one.  Whether same-instant frames share a delivery event is
+the simulator's choice (``Simulator(batching=)``); fault-injection hooks
+on :attr:`Link.faults` transform every frame individually, in wire order,
+either way.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.errors import PortError, TopologyError
 from repro.hooks import HookPoint
-from repro.obs.trace import TRACER
 from repro.sim.simulator import Simulator
 from repro.sim.trace import Direction, TraceRecorder
 
@@ -58,15 +56,10 @@ class Port:
 
     def transmit(self, data: bytes) -> None:
         """Send raw frame bytes out this port (no-op when down/unattached)."""
-        link = self.link
-        if link is None or not self.up:
-            return
-        self.tx_frames += 1
-        self.tx_bytes += len(data)
-        link.carry(self, data)
+        self.transmit_batch((data,))
 
     def transmit_batch(self, datas: Sequence[bytes]) -> None:
-        """Send many frames out this port in one call (flood egress)."""
+        """Send frames out this port, in order (no-op when down/unattached)."""
         link = self.link
         if link is None or not self.up or not datas:
             return
@@ -75,15 +68,11 @@ class Port:
         link.carry_batch(self, datas)
 
     def deliver(self, data: bytes) -> None:
-        """Called by the link when a frame arrives at this port."""
-        if not self.up:
-            return
-        self.rx_frames += 1
-        self.rx_bytes += len(data)
-        self.device.on_frame(self, data)
+        """Hand one frame arriving at this port to the device."""
+        self.deliver_batch((data,))
 
     def deliver_batch(self, datas: Sequence[bytes]) -> None:
-        """Coalesced-delivery sink: a batch of frames arriving together.
+        """Delivery sink: a batch of frames arriving together.
 
         The whole batch shares one administrative state: a port that went
         down before the flush drops every frame in it, exactly as it
@@ -156,91 +145,46 @@ class Link:
 
     def carry(self, sender: Port, data: bytes) -> None:
         """Propagate ``data`` from ``sender`` to the opposite port."""
-        receiver = sender.peer
-        if receiver is None:
-            receiver = self.other_end(sender)  # defensive; peers are set on link-up
-        self.frames_carried += 1
-        self.bytes_carried += len(data)
-        sim = self.sim
-        if self.recorder is not None:
-            self.recorder.record(sim.now, sender.name, Direction.TX, data)
-        batching = sim.batching and not TRACER.enabled
-        if self.faults.hooks:
-            # Impairment hooks rewrite the delivery plan: each entry is
-            # (extra_delay, payload); an empty plan means the frame is lost.
-            plan = self.faults.transform(((0.0, data),), self, sender)
-            for extra, payload in plan:
-                delay = (
-                    self.latency + len(payload) * self._seconds_per_byte + extra
-                )
-                if batching:
-                    sim.coalesce(delay, receiver, payload)
-                else:
-                    sim.schedule(
-                        delay, partial(receiver.deliver, payload), name="link.carry"
-                    )
-            return
-        delay = self.latency + len(data) * self._seconds_per_byte
-        if batching:
-            # Same-instant deliveries to this receiver share one flush
-            # event; the delay expression is byte-for-byte the one the
-            # per-event path uses, so timestamps never diverge.
-            sim.coalesce(delay, receiver, data)
-            return
-        # partial() instead of a lambda: the callback fires in C without an
-        # intermediate Python frame, and this is one event per frame hop.
-        sim.schedule(delay, partial(receiver.deliver, data), name="link.carry")
+        self.carry_batch(sender, (data,))
 
     def carry_batch(self, sender: Port, datas: Sequence[bytes]) -> None:
-        """Propagate a whole frame batch from ``sender`` in one call.
+        """Propagate a frame batch from ``sender`` to the opposite port.
 
-        Used by the switch's batched flood/forward egress: counters and
-        capture are updated per frame (a sniffer on the link sees exactly
-        the per-frame trace), faults transform each frame in batch order
-        with unchanged RNG draw order, and delivery coalesces frames by
-        computed arrival time — frames of equal length land in one batch.
+        Counters and capture are updated per frame (a sniffer on the link
+        sees exactly the per-frame trace), faults transform each frame in
+        batch (== wire) order with unchanged RNG draw order, and each
+        frame is handed to the simulator at its own arrival time — frames
+        of equal length arrive together.
         """
         receiver = sender.peer
         if receiver is None:
-            receiver = self.other_end(sender)
+            receiver = self.other_end(sender)  # defensive; peers are set on link-up
         sim = self.sim
+        now = sim.now
         self.frames_carried += len(datas)
         self.bytes_carried += sum(map(len, datas))
         if self.recorder is not None:
             record = self.recorder.record
-            now = sim.now
             name = sender.name
             for data in datas:
                 record(now, name, Direction.TX, data)
         latency = self.latency
         spb = self._seconds_per_byte
-        batching = sim.batching and not TRACER.enabled
+        coalesce = sim.coalesce
         if self.faults.hooks:
-            # Per-frame transform inside the batch: each frame gets its own
-            # delivery plan, drawn in batch (== wire) order.
+            # Impairment hooks rewrite each frame's delivery plan: every
+            # entry is (extra_delay, payload); an empty plan means the
+            # frame is lost.
             plans = self.faults.transform_batch(
                 [((0.0, data),) for data in datas], self, sender
             )
             for plan in plans:
                 for extra, payload in plan:
-                    delay = latency + len(payload) * spb + extra
-                    if batching:
-                        sim.coalesce(delay, receiver, payload)
-                    else:
-                        sim.schedule(
-                            delay,
-                            partial(receiver.deliver, payload),
-                            name="link.carry",
-                        )
+                    when = now + (latency + len(payload) * spb + extra)
+                    coalesce(when, receiver, (payload,))
             return
-        if not batching:
-            schedule = sim.schedule
-            for data in datas:
-                schedule(
-                    latency + len(data) * spb,
-                    partial(receiver.deliver, data),
-                    name="link.carry",
-                )
+        if len(datas) == 1:  # host egress and batches of one: no grouping
+            coalesce(now + (latency + len(datas[0]) * spb), receiver, datas)
             return
         # Group by frame length (== by arrival time): the common flood
         # batch is uniform, so this is one accumulator probe for the lot.
@@ -251,9 +195,8 @@ class Link:
                 by_len[len(data)] = [data]
             else:
                 group.append(data)
-        coalesce_many = sim.coalesce_many
         for length, group in by_len.items():
-            coalesce_many(latency + length * spb, receiver, group)
+            coalesce(now + (latency + length * spb), receiver, group)
 
     def disconnect(self) -> None:
         """Tear the link down (cable pull)."""
@@ -284,12 +227,13 @@ class Device:
         raise NotImplementedError
 
     def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """Handle a coalesced batch of frames arriving on ``port``.
+        """Handle a batch of frames arriving together on ``port``.
 
-        The default simply unrolls to :meth:`on_frame` in batch (== wire)
-        order, so devices without a vectorized receive path behave exactly
-        as if each frame had arrived on its own event.  The switch and
-        host override this with batch-aware fast paths.
+        Every delivery lands here.  The default unrolls to
+        :meth:`on_frame` in batch (== wire) order, so devices without a
+        batch receive path behave exactly as if each frame had arrived on
+        its own event.  The switch and host override this with their one
+        receive path, and make :meth:`on_frame` a batch of one.
         """
         on_frame = self.on_frame
         for data in datas:

@@ -146,29 +146,62 @@ class Switch(Device):
     # Data plane
     # ------------------------------------------------------------------
     def on_frame(self, port: Port, data: bytes) -> None:
-        if TRACER.enabled:
-            # Resolve the buffer to its frame id (free: buffers flow
-            # through transmit/carry/deliver unchanged) and keep it in
-            # scope so filters and alerts can attribute their decisions.
-            tracer = TRACER
-            fid = tracer.provenance.lookup(data)
-            previous = tracer.current_frame
-            tracer.current_frame = fid
-            try:
-                with tracer.span(
-                    "switch.forward", node=self.name, port=port.name, frame=fid
-                ):
-                    self._data_plane(port, data)
-            finally:
-                tracer.current_frame = previous
-        else:
-            self._data_plane(port, data)
+        self.on_frame_batch(port, (data,))
 
-    def _data_plane(self, port: Port, data: bytes) -> None:
-        self.recorder.record(self.sim.now, port.name, Direction.RX, data)
+    def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
+        """The switch's one receive path.
+
+        The plain learning plane takes the whole batch in one
+        :meth:`_data_plane_batch` pass.  Tracing, an SDN agent, the VLAN
+        plane and ingress filters all observe switch state *between*
+        frames, so with any of them present each frame first passes
+        :meth:`_admit` on its own, and an admitted frame then runs the
+        same pass as a batch of one.
+        """
+        record = self.recorder.record
+        now = self.sim.now
+        name = port.name
+        if (
+            TRACER.enabled
+            or self.sdn_agent is not None
+            or self.vlan_aware
+            or self.ingress_filters.hooks  # one truthiness check per batch
+        ):
+            admit = self._admit
+            for data in datas:
+                record(now, name, Direction.RX, data)
+                admit(port, data)
+            return
+        for data in datas:
+            record(now, name, Direction.RX, data)
+        self._data_plane_batch(port, datas)
+
+    def _admit(self, port: Port, data: bytes) -> None:
+        """One frame through :meth:`_classify`, in a ``switch.forward``
+        span while tracing."""
+        tracer = TRACER
+        if not tracer.enabled:
+            self._classify(port, data)
+            return
+        # Resolve the buffer to its frame id (free: buffers flow through
+        # transmit/carry/deliver unchanged) and keep it in scope so
+        # filters and alerts can attribute their decisions.
+        fid = tracer.provenance.lookup(data)
+        previous = tracer.current_frame
+        tracer.current_frame = fid
         try:
-            # Lazy view: forwarding decisions need only the 14-byte header;
-            # the payload is materialized only if a filter/monitor reads it.
+            with tracer.span(
+                "switch.forward", node=self.name, port=port.name, frame=fid
+            ):
+                self._classify(port, data)
+        finally:
+            tracer.current_frame = previous
+
+    def _classify(self, port: Port, data: bytes) -> None:
+        """SDN agent, VLAN plane and ingress filters, then learn/forward."""
+        try:
+            # Lazy view: the agent and filters read the header; the
+            # payload is materialized only if one of them reads it.
             frame = EthernetFrame.lazy(data)
         except CodecError:
             self.undecodable_frames += 1
@@ -182,55 +215,14 @@ class Switch(Device):
             self._vlan_on_frame(port, frame, data)
             return
 
-        if self.ingress_filters.hooks:
-            if not self._run_ingress_filters(port, frame):
-                self.dropped_frames += 1
-                self._mirror(port, data)  # monitors still see dropped frames
-                return
-
-        self.cam.learn(frame.src, port.index, self.sim.now)
-        self._mirror(port, data)
-
-        if frame.dst.is_multicast:  # includes broadcast
-            self._flood(port, data)
+        if self.ingress_filters.hooks and not self._run_ingress_filters(port, frame):
+            self.dropped_frames += 1
+            self._mirror(port, data)  # monitors still see dropped frames
             return
-        out_index = self.cam.lookup(frame.dst, self.sim.now)
-        if out_index is None:
-            # Unknown unicast: flood.  This is the fail-open behaviour MAC
-            # flooding forces permanently by filling the CAM.
-            self._flood(port, data)
-            return
-        if out_index == port.index:
-            return  # hairpin; already on the right segment
-        self.forwarded_frames += 1
-        self._send(out_index, data)
-
-    def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """Batched receive: vectorize the plain learning data plane.
-
-        Traced, SDN-managed and VLAN-aware planes unroll to the per-frame
-        path (their semantics involve per-frame spans, controller state or
-        per-VID tables); the plain plane — the hot path every benchmark
-        and large-scale scenario exercises — runs the batch fast path.
-        """
-        if (
-            TRACER.enabled
-            or self.sdn_agent is not None
-            or self.vlan_aware
-            or self.ingress_filters.hooks  # one truthiness check per batch
-        ):
-            # Per-frame fallback: spans, controller state, per-VID tables
-            # and ingress filters all observe switch state *between*
-            # frames, so their view must not change when frames arrive
-            # batched.
-            on_frame = self.on_frame
-            for data in datas:
-                on_frame(port, data)
-            return
-        self._data_plane_batch(port, datas)
+        self._data_plane_batch(port, (data,))
 
     def _data_plane_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """One pass over a frame batch: capture, learn, resolve, egress.
+        """One pass over a frame batch: learn, resolve, mirror, egress.
 
         Per-frame work is reduced to raw byte slicing: destination and
         source MACs are read straight from the wire bytes and resolved
@@ -238,16 +230,11 @@ class Switch(Device):
         and CAM aging runs exactly once for the whole batch
         (watermark-bounded) instead of once per frame.  Learning and
         resolution stay interleaved in wire order — a frame whose source
-        completes a later frame's destination behaves identically on the
-        batched and per-frame planes.  Egress is grouped per output port
-        and handed to each link as one batch, in wire order.
+        completes a later frame's destination is forwarded exactly as if
+        it had arrived on its own.  Egress is grouped per output port and
+        handed to each link as one batch, in wire order.
         """
         now = self.sim.now
-        record = self.recorder.record
-        port_name = port.name
-        for data in datas:
-            record(now, port_name, Direction.RX, data)
-
         cam = self.cam
         cam.expire(now)  # the batch's one aging sweep
         learn = cam.learn_wire
@@ -268,7 +255,9 @@ class Switch(Device):
         forwarded = 0
         undecodable = 0
         for data in datas:
-            if len(data) < 14:
+            # Runts and 802.3 length-field frames (ethertype < 0x0600) are
+            # undecodable: not learned, mirrored or forwarded.
+            if len(data) < 14 or data[12] < 0x06:
                 undecodable += 1
                 continue
             learn(data[6:12], ingress_index, now)
@@ -283,13 +272,17 @@ class Switch(Device):
                 else:
                     group.append(data)
             if entry is None:
-                # Unknown unicast or multicast: flood out every port but
-                # the ingress and the mirror target (which got its copy
-                # above).  This is the fail-open behaviour MAC flooding
-                # forces permanently by filling the CAM.
+                # Unknown unicast or multicast: flood out every cabled
+                # port but the ingress and the mirror target (which got
+                # its copy above).  This is the fail-open behaviour MAC
+                # flooding forces permanently by filling the CAM.
                 flood_count += 1
                 for index in range(n_ports):
-                    if index == ingress_index or index == mirror_target:
+                    if (
+                        index == ingress_index
+                        or index == mirror_target
+                        or ports[index].link is None
+                    ):
                         continue
                     group = out_lists.get(index)
                     if group is None:
@@ -436,21 +429,6 @@ class Switch(Device):
             TRACER.provenance.derive(
                 data, TRACER.current_frame, f"switch:{self.name}", self.sim.now
             )
-
-    def _flood(self, ingress: Port, data: bytes) -> None:
-        self.flooded_frames += 1
-        egress = 0
-        for port in self.ports:
-            if port.index == ingress.index:
-                continue
-            if port.index == self._mirror_target:
-                continue  # mirror port gets its copy via _mirror()
-            egress += 1
-            port.transmit(data)
-        PERF.flood_buffer_reuses += egress  # ingress buffer, never re-encoded
-
-    def _send(self, port_index: int, data: bytes) -> None:
-        self.ports[port_index].transmit(data)
 
     def _mirror(self, ingress: Port, data: bytes) -> None:
         if self._mirror_target is None:

@@ -173,7 +173,9 @@ class TelemetryRecorder:
         self._t0 = clock()
         #: How many events pass between cadence checks in tick().
         self._stride = cadence_events if cadence_events is not None else WALL_CHECK_STRIDE
-        self._next_mark = 0
+        #: ``events_processed`` count at which tick() next checks the
+        #: cadence (the run loop reads it to skip ticks in between).
+        self.next_mark = 0
         self._last_sample_wall = float("-inf")
         self._last_sample_events = -1
         self._perf_before: Optional[Dict[str, float]] = None
@@ -190,7 +192,7 @@ class TelemetryRecorder:
         cadence stride.
         """
         sim.telemetry = self
-        self._next_mark = sim.events_processed + self._stride
+        self.next_mark = sim.events_processed + self._stride
         self.sample(sim, reason="attach")
 
     def detach(self, sim) -> None:
@@ -198,13 +200,13 @@ class TelemetryRecorder:
             sim.telemetry = None
 
     # ------------------------------------------------------------------
-    # Hot-side entry points (called from the instrumented run loop)
+    # Hot-side entry points (called from the run loop)
     # ------------------------------------------------------------------
     def tick(self, sim) -> None:
-        """Per-event cadence check; cheap no-op between stride marks."""
-        if sim.events_processed < self._next_mark:
+        """Cadence check; a cheap no-op before :attr:`next_mark`."""
+        if sim.events_processed < self.next_mark:
             return
-        self._next_mark = sim.events_processed + self._stride
+        self.next_mark = sim.events_processed + self._stride
         BEACON.update(sim)
         wall = self._clock()
         if self.cadence_wall is not None and (

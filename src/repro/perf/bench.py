@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 __all__ = [
-    "BATCH_ONLY_BENCHMARKS",
     "BENCHMARKS",
     "DEFAULT_BASELINE",
     "DEFAULT_TOLERANCE",
@@ -34,11 +33,6 @@ __all__ = [
 
 DEFAULT_BASELINE = "BENCH_wire.json"
 DEFAULT_TOLERANCE = 0.5
-
-#: Benchmarks that only exist when event batching is enabled; ``repro
-#: bench --check --no-batch`` passes these as ``allow_missing`` so the
-#: per-frame plane can be gated on the same committed baseline.
-BATCH_ONLY_BENCHMARKS = frozenset({"broadcast_flood_deliveries"})
 
 #: Inner-loop iteration counts: full and --quick.
 _ITERS = {"full": 20_000, "quick": 2_000}
@@ -231,13 +225,13 @@ BENCHMARKS: Dict[str, Callable[[], tuple]] = {
     "nic_batch_filter": _bench_nic_batch_filter,
 }
 
-#: The flood keys run_suite adds beyond BENCHMARKS (the batched headline
-#: is emitted only while batching is the process default).
+#: The flood keys run_suite adds beyond BENCHMARKS: the batched headline
+#: and the batch-of-one plane (``Simulator(batching=False)``).
 _FLOOD_BENCHMARKS = ("broadcast_flood_deliveries", "broadcast_flood_unbatched")
 
 
 def expected_benchmark_names() -> frozenset:
-    """Every key a full (batching-on) run of the suite produces.
+    """Every key a full run of the suite produces.
 
     The committed baseline is validated against this set: a baseline key
     outside it means a benchmark was renamed or dropped without
@@ -264,13 +258,9 @@ def _time_ops(work: Callable[[], None], ops_per_call: int, quick: bool) -> float
 def run_suite(quick: bool = False) -> Dict[str, float]:
     """Run every benchmark; returns ``{name: ops_per_sec}``.
 
-    The unbatched flood always runs (it gates the per-frame plane); the
-    batched headline is produced only while event batching is the
-    process default, so ``--no-batch`` runs simply lack that key and the
-    caller allows it via :data:`BATCH_ONLY_BENCHMARKS`.
+    The flood runs twice: batched (the headline) and unbatched, which
+    gates the batch-of-one delivery every traced run takes.
     """
-    from repro.sim.simulator import DEFAULT_BATCHING
-
     results: Dict[str, float] = {}
     for name, builder in BENCHMARKS.items():
         work, ops_per_call = builder()
@@ -278,10 +268,9 @@ def run_suite(quick: bool = False) -> Dict[str, float]:
     results["broadcast_flood_unbatched"] = _bench_broadcast_flood(
         quick, batching=False
     )
-    if DEFAULT_BATCHING:
-        results["broadcast_flood_deliveries"] = _bench_broadcast_flood(
-            quick, batching=True
-        )
+    results["broadcast_flood_deliveries"] = _bench_broadcast_flood(
+        quick, batching=True
+    )
     return results
 
 
@@ -317,7 +306,8 @@ def check(
     throughput fell below ``baseline * tolerance``.  Benchmarks present
     only in ``results`` (newly added, no baseline yet) pass.  Baseline
     keys in ``allow_missing`` may be absent from ``results`` without
-    failing — how ``--no-batch`` runs skip the batch-only headline.
+    failing — how ``--no-scale`` / ``--quick`` runs skip what they do
+    not measure.
     """
     failures: List[str] = []
     for name, base_ops in sorted(baseline.items()):

@@ -8,12 +8,10 @@ throughput, unsharded vs sharded — and gates them against a committed
 machinery, via ``repro scale --check`` (and folded into ``repro bench
 --check``).
 
-Key sets mirror ``BATCH_ONLY_BENCHMARKS``: baseline keys the current run
-legitimately lacks go in the caller's ``allow_missing`` —
-:data:`SCALE_FULL_ONLY` for ``--quick`` runs (the 10k-host cell only
-runs full), :data:`SCALE_BENCHMARKS` entirely when the scale suite is
-skipped (``--no-scale`` / ``--no-batch``: the churn cells measure the
-batched plane, so a per-frame run has nothing to gate here).
+Baseline keys the current run legitimately lacks go in the caller's
+``allow_missing``: :data:`SCALE_FULL_ONLY` for ``--quick`` runs (the
+10k-host cell only runs full), :data:`SCALE_BENCHMARKS` entirely when the
+scale suite is skipped (``--no-scale``).
 """
 
 from __future__ import annotations
@@ -81,12 +79,7 @@ def _bench_churn(quick: bool, shards: int, cell: Dict[str, int]) -> float:
 
 
 def run_scale_suite(quick: bool = False) -> Dict[str, float]:
-    """Run the scale benchmarks; returns ``{name: ops_per_sec}``.
-
-    Assumes the batched data plane is the process default — callers skip
-    the whole suite under ``--no-batch`` (and allow
-    :data:`SCALE_BENCHMARKS` missing).
-    """
+    """Run the scale benchmarks; returns ``{name: ops_per_sec}``."""
     results: Dict[str, float] = {}
     results["campus_build_hosts_per_sec"] = _bench_build(quick)
     results["campus_churn_deliveries"] = _bench_churn(quick, shards=0, cell=_CELL_1K)

@@ -36,6 +36,7 @@ from repro.packets.openflow import (
     PacketOut,
     decode_message,
 )
+from repro.perf import PERF
 from repro.sdn.flow_table import DEFAULT_FLOW_CAPACITY, FlowEntry, FlowTable
 
 __all__ = ["SwitchAgent", "FAIL_OPEN", "FAIL_CLOSED", "DEFAULT_MAX_PENDING"]
@@ -237,9 +238,9 @@ class SwitchAgent:
             if out_port == in_port or not 0 <= out_port < len(sw.ports):
                 return  # hairpin or a port that no longer exists
             sw.forwarded_frames += 1
-            sw._send(out_port, data)
+            sw.ports[out_port].transmit(data)
         elif action == FlowAction.FLOOD:
-            sw._flood(sw.ports[in_port], data)
+            self._flood(in_port, data)
         else:  # DROP
             self.flow_drops += 1
             sw.dropped_frames += 1
@@ -271,16 +272,28 @@ class SwitchAgent:
         overflow): the CAM is already warm from shadow learning."""
         sw = self.switch
         if frame.dst.is_multicast:
-            sw._flood(port, data)
+            self._flood(port.index, data)
             return
         out_index = sw.cam.lookup(frame.dst, sw.sim.now)
         if out_index is None:
-            sw._flood(port, data)
+            self._flood(port.index, data)
             return
         if out_index == port.index:
             return
         sw.forwarded_frames += 1
-        sw._send(out_index, data)
+        sw.ports[out_index].transmit(data)
+
+    def _flood(self, in_port: int, data: bytes) -> None:
+        """The FLOOD action: every port but the ingress and the mirror
+        target (which got its copy when the frame entered)."""
+        sw = self.switch
+        sw.flooded_frames += 1
+        egress = 0
+        for port in sw.ports:
+            if port.index != in_port and port.index != sw._mirror_target:
+                egress += 1
+                port.transmit(data)
+        PERF.flood_buffer_reuses += egress  # ingress buffer, never re-encoded
 
     def _send_control(self, message) -> None:
         frame = EthernetFrame(

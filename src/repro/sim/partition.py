@@ -23,8 +23,8 @@ domain:
 
 Determinism contract: each partition derives its RNG streams from the
 same ``(seed, name)`` scheme as an unsharded simulator, device names are
-unique across the fabric, and envelope flushes reuse the exact batched /
-per-event delivery mechanics of :class:`~repro.l2.device.Link` — so a
+unique across the fabric, and envelope flushes reuse the exact delivery
+mechanics of :class:`~repro.l2.device.Link` — so a
 fixed-seed run produces identical frame timestamps, CAM state, and scheme
 alerts whether it is sharded or not (``tests/test_shard_equivalence.py``
 pins this property).
@@ -40,13 +40,11 @@ partitions only, and writes its own heartbeat file.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError, TopologyError
 from repro.obs.live import default_recorder as _default_recorder
 from repro.obs.registry import REGISTRY
-from repro.obs.trace import TRACER
 from repro.sim.simulator import Simulator
 
 __all__ = [
@@ -87,7 +85,7 @@ class Partition(Simulator):
     """
 
     def __init__(
-        self, name: str, seed: int = 0, batching: Optional[bool] = None
+        self, name: str, seed: int = 0, batching: bool = True
     ) -> None:
         super().__init__(seed=seed, batching=batching)
         self.name = name
@@ -136,8 +134,8 @@ class Boundary:
     call ``link.carry`` / ``link.carry_batch``), computes the *identical*
     delay expression, and posts envelopes to the coordinator instead of
     scheduling — the destination partition schedules the delivery itself
-    at flush time, through the same coalesced/per-event mechanics a local
-    link would have used.
+    at flush time, through the same delivery mechanics a local link
+    would have used.
 
     Boundaries carry no fault hooks and no trace recorder: impairments
     and sniffers belong on intra-domain links (campus spine links are
@@ -186,19 +184,15 @@ class Boundary:
 
     def carry(self, sender, data: bytes) -> None:
         """Post ``data`` toward the opposite partition as an envelope."""
-        src, dst = self._ends(sender)
-        self.frames_carried += 1
-        self.bytes_carried += len(data)
-        # Byte-for-byte the Link.carry delay expression, evaluated against
-        # the *sending* partition's clock — identical float result.
-        delay = self.latency + len(data) * self._seconds_per_byte
-        when = src.partition.now + delay
-        self._coordinator._post(
-            Envelope(when, dst.partition.name, dst.device, dst.index, bytes(data))
-        )
+        self.carry_batch(sender, (data,))
 
     def carry_batch(self, sender, datas) -> None:
-        """Batch egress: one envelope per frame, in batch (== wire) order."""
+        """One envelope per frame, in batch (== wire) order.
+
+        The arrival time is byte-for-byte the :meth:`Link.carry_batch
+        <repro.l2.device.Link.carry_batch>` expression, evaluated against
+        the *sending* partition's clock — identical float result.
+        """
         src, dst = self._ends(sender)
         self.frames_carried += len(datas)
         self.bytes_carried += sum(map(len, datas))
@@ -260,7 +254,7 @@ class ShardedSimulator:
         name)``, so a component draws the same sequence regardless of
         which partition (or how many) it lives in.
     batching:
-        Per-partition batched data plane flag (``None`` = process default).
+        Every partition's ``Simulator(batching=)`` flag.
     lookahead:
         Explicit safe-window override.  Must not exceed the minimum
         boundary latency; ``None`` (default) derives exactly that
@@ -270,7 +264,7 @@ class ShardedSimulator:
     def __init__(
         self,
         seed: int = 0,
-        batching: Optional[bool] = None,
+        batching: bool = True,
         lookahead: Optional[float] = None,
     ) -> None:
         self.seed = seed
@@ -395,23 +389,17 @@ class ShardedSimulator:
     def _deliver(self, envelope: Envelope) -> None:
         """Schedule one envelope into its destination partition.
 
-        Reuses the exact Link delivery mechanics: coalesced batch flush
-        keyed on the precomputed absolute ``(when, port)`` when the
-        destination plane batches, per-event dispatch otherwise — so a
-        cross-partition frame is indistinguishable, timestamp and batch
-        shape included, from one that crossed a local link.
+        Reuses the exact Link delivery mechanics, keyed on the precomputed
+        absolute ``(when, port)`` — so a cross-partition frame is
+        indistinguishable, timestamp and batch shape included, from one
+        that crossed a local link.
         """
         partition = self.partitions[envelope.partition]
         port = partition.device(envelope.device).ports[envelope.port]
         self.envelopes_routed += 1
-        if partition.batching and not TRACER.enabled:
-            partition.coalesce_at(envelope.when, port, envelope.payload)
-        else:
-            partition.schedule_at(
-                envelope.when,
-                partial(port.deliver, envelope.payload),
-                name="boundary.carry",
-            )
+        partition.coalesce(
+            envelope.when, port, (envelope.payload,), name="boundary.carry"
+        )
 
     def _flush_outbox(self) -> None:
         outbox = self._outbox

@@ -15,14 +15,14 @@ cancelled entries outnumber live ones (see :meth:`Event.cancel`), so
 long-running simulations that arm and cancel many timers (ARP retries,
 cache aging) do not leak.
 
-Same-timestamp deliveries to one sink can additionally be *coalesced*
-(:meth:`Simulator.coalesce`): all items landing on the same ``(time,
-sink)`` pair share one flush event that hands ``sink.deliver_batch`` the
-whole batch at once, instead of one event per frame.  This is the batched
-data plane's entry point; per-event dispatch remains the fallback
-(``batching=False``), and both paths compute identical delivery
-timestamps from the same expressions, so fixed-seed runs stay
-reproducible either way.
+Frame deliveries all go through one primitive, :meth:`Simulator.coalesce`,
+which hands ``sink.deliver_batch`` a batch of items at an absolute time.
+With :attr:`~Simulator.batching` on (the default), every item landing on
+the same ``(time, sink)`` pair joins one batch and one flush event.  With
+batching off, or while the tracer is on, each item is its own batch of
+one with its own event, so per-frame event order and trace spans stay
+exact.  Both modes compute the same delivery timestamps, so fixed-seed
+runs stay reproducible either way.
 
 Example
 -------
@@ -42,6 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import ClockError, SimulationError
@@ -49,16 +50,11 @@ from repro.obs.live import default_recorder as _default_recorder
 from repro.obs.trace import TRACER
 from repro.perf import PERF
 
-__all__ = ["Event", "Simulator", "DEFAULT_BATCHING"]
+__all__ = ["Event", "Simulator"]
 
 #: Compaction never triggers below this many cancelled entries — tiny heaps
 #: are cheaper to skip through than to rebuild.
 _COMPACT_MIN_CANCELLED = 64
-
-#: Process-wide default for :class:`Simulator` batching.  ``repro bench
-#: --no-batch`` (and the CI batch-off smoke job) flip this to prove the
-#: per-event fallback path still works and still meets its own gate.
-DEFAULT_BATCHING = True
 
 
 class Event:
@@ -115,7 +111,7 @@ class Simulator:
         perturb the draws seen by existing ones.
     """
 
-    def __init__(self, seed: int = 0, batching: Optional[bool] = None) -> None:
+    def __init__(self, seed: int = 0, batching: bool = True) -> None:
         self._now = 0.0
         #: Heap of ``(time, seq, Event)`` — tuple keys keep comparisons in C.
         self._heap: list[tuple[float, int, Event]] = []
@@ -125,10 +121,9 @@ class Simulator:
         self._cancelled_in_heap = 0
         self.events_processed = 0
         self.heap_compactions = 0
-        #: Same-timestamp event coalescing (the batched data plane).
-        #: ``None`` inherits the process default so the batch-off smoke
-        #: path (``repro bench --no-batch``) needs no per-site plumbing.
-        self.batching = DEFAULT_BATCHING if batching is None else batching
+        #: Same-timestamp coalescing in :meth:`coalesce`; ``False`` gives
+        #: every delivered item its own event (a batch of one).
+        self.batching = batching
         #: Open coalesced batches: ``(when, sink) -> item list``.  The
         #: list is aliased by the flush event scheduled at first insert,
         #: so later same-instant items ride along for free.
@@ -204,116 +199,59 @@ class Simulator:
         return event
 
     # ------------------------------------------------------------------
-    # Same-timestamp coalescing (the batched data plane)
+    # Delivery: same-timestamp coalescing
     # ------------------------------------------------------------------
     def coalesce(
         self,
-        delay: float,
-        sink,
-        item,
-        name: str = "link.carry",
-    ) -> None:
-        """Append ``item`` to the batch delivered to ``sink`` at ``now+delay``.
-
-        All items coalesced onto the same ``(time, sink)`` pair are handed
-        to ``sink.deliver_batch(items)`` by a single flush event, scheduled
-        with the sequence number of the batch's *first* item — so a batch
-        fires exactly where its first frame would have, and items keep
-        their arrival order inside the batch.  Per-item dispatch
-        (:meth:`schedule`) remains the fallback when :attr:`batching` is
-        off; delivery timestamps are computed identically on both paths.
-        """
-        if delay < 0:
-            raise ClockError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
-        key = (when, sink)
-        open_batches = self._open_batches
-        items = open_batches.get(key)
-        if items is not None:
-            items.append(item)
-            return
-        items = [item]
-        open_batches[key] = items
-
-        def flush() -> None:
-            del open_batches[key]
-            PERF.batch_flushes += 1
-            PERF.batched_items += len(items)
-            sink.deliver_batch(items)
-
-        seq = next(self._counter)
-        event = Event(time=when, seq=seq, action=flush, name=name, sim=self)
-        heapq.heappush(self._heap, (when, seq, event))
-
-    def coalesce_many(
-        self,
-        delay: float,
-        sink,
-        new_items: Sequence,
-        name: str = "link.carry",
-    ) -> None:
-        """Bulk :meth:`coalesce` — one accumulator probe for many items."""
-        if not new_items:
-            return
-        if delay < 0:
-            raise ClockError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
-        key = (when, sink)
-        open_batches = self._open_batches
-        items = open_batches.get(key)
-        if items is not None:
-            items.extend(new_items)
-            return
-        items = list(new_items)
-        open_batches[key] = items
-
-        def flush() -> None:
-            del open_batches[key]
-            PERF.batch_flushes += 1
-            PERF.batched_items += len(items)
-            sink.deliver_batch(items)
-
-        seq = next(self._counter)
-        event = Event(time=when, seq=seq, action=flush, name=name, sim=self)
-        heapq.heappush(self._heap, (when, seq, event))
-
-    def coalesce_at(
-        self,
         when: float,
         sink,
-        item,
+        items: Sequence,
         name: str = "link.carry",
     ) -> None:
-        """Absolute-time :meth:`coalesce` — the envelope flush path.
+        """Hand ``items`` to ``sink.deliver_batch`` at absolute time ``when``.
 
-        Cross-partition frames (:mod:`repro.sim.partition`) arrive with a
-        precomputed absolute timestamp; recomputing it as ``now + (when -
-        now)`` would reassociate the float arithmetic and could drift a
-        ULP from the timestamp the unsharded run produces.  Same batch
-        mechanics as :meth:`coalesce`, keyed on the exact ``when``.
+        With :attr:`batching` on, items coalesced onto the same ``(when,
+        sink)`` pair share one flush event, scheduled with the sequence
+        number of the batch's *first* item — so a batch fires exactly
+        where its first item would have, and items keep their arrival
+        order inside it.  With batching off, or while the tracer is on,
+        every item gets its own event (a batch of one) with its own
+        sequence number and ``name``, which is per-frame dispatch.
+        ``when`` is absolute so callers that carry a precomputed arrival
+        time (cross-partition envelopes) land on exactly that float.
         """
+        if not items:
+            return
         if when < self._now:
             raise ClockError(
                 f"cannot schedule at t={when} before current time t={self._now}"
             )
+        heap = self._heap
+        counter = self._counter
+        if not self.batching or TRACER.enabled:
+            deliver = sink.deliver_batch
+            for item in items:
+                seq = next(counter)
+                event = Event(when, seq, partial(deliver, (item,)), name, self)
+                heapq.heappush(heap, (when, seq, event))
+            return
         key = (when, sink)
         open_batches = self._open_batches
-        items = open_batches.get(key)
-        if items is not None:
-            items.append(item)
+        batch = open_batches.get(key)
+        if batch is not None:
+            batch.extend(items)
             return
-        items = [item]
-        open_batches[key] = items
+        batch = list(items)
+        open_batches[key] = batch
 
         def flush() -> None:
             del open_batches[key]
             PERF.batch_flushes += 1
-            PERF.batched_items += len(items)
-            sink.deliver_batch(items)
+            PERF.batched_items += len(batch)
+            sink.deliver_batch(batch)
 
-        seq = next(self._counter)
-        event = Event(time=when, seq=seq, action=flush, name=name, sim=self)
-        heapq.heappush(self._heap, (when, seq, event))
+        seq = next(counter)
+        heapq.heappush(heap, (when, seq, Event(when, seq, flush, name, self)))
 
     def call_every(
         self,
@@ -426,75 +364,49 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if self.telemetry is not None:
-                self._run_instrumented(until, max_events)
-            else:
-                # One fused peek/pop loop: this dispatches every event in
-                # the simulation, so the per-event overhead matters more
-                # than the tidier step()-based formulation it replaces.
-                heap = self._heap  # safe: _compact() rebuilds it in place
-                pop = heapq.heappop
-                limit = self.events_processed + max_events
-                fire = self._fire
-                while heap:
-                    when, _seq, event = heap[0]
-                    if event.cancelled:
-                        pop(heap)
-                        event._sim = None
-                        self._cancelled_in_heap -= 1
-                        continue
-                    if until is not None and when > until:
-                        break
+            # One fused peek/pop loop: this dispatches every event in the
+            # simulation, so the per-event overhead matters more than the
+            # tidier step()-based formulation it replaces.
+            heap = self._heap  # safe: _compact() rebuilds it in place
+            pop = heapq.heappop
+            limit = self.events_processed + max_events
+            fire = self._fire
+            # ``mark`` is the next event count that needs attention: the
+            # runaway limit, or the attached telemetry recorder's next
+            # cadence check.  Sharing one compare keeps telemetry free for
+            # the loop when no recorder is attached.
+            telemetry = self.telemetry
+            mark = limit + 1
+            if telemetry is not None:
+                mark = min(mark, telemetry.next_mark)
+            while heap:
+                when, _seq, event = heap[0]
+                if event.cancelled:
                     pop(heap)
                     event._sim = None
-                    self._now = when
-                    self.events_processed += 1
-                    fire(event)
+                    self._cancelled_in_heap -= 1
+                    continue
+                if until is not None and when > until:
+                    break
+                pop(heap)
+                event._sim = None
+                self._now = when
+                self.events_processed += 1
+                fire(event)
+                if self.events_processed >= mark:
+                    if telemetry is not None:
+                        telemetry.tick(self)
+                        mark = min(limit + 1, telemetry.next_mark)
                     if self.events_processed > limit:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; runaway schedule?"
                         )
+            if telemetry is not None:
+                telemetry.run_end(self)
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
-
-    def _run_instrumented(self, until: Optional[float], max_events: int) -> None:
-        """The telemetry twin of run()'s fused loop.
-
-        Kept as a structural mirror (same pop/fire sequence, same clock
-        and limit semantics) so fixed-seed runs are byte-identical with
-        and without a recorder: ``tick()`` only *reads* simulator state.
-        Duplicating the loop keeps the common untelemetered path free of
-        the per-event ``tick`` call — the zero-cost guard the bench gate
-        enforces.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        limit = self.events_processed + max_events
-        fire = self._fire
-        telemetry = self.telemetry
-        tick = telemetry.tick
-        while heap:
-            when, _seq, event = heap[0]
-            if event.cancelled:
-                pop(heap)
-                event._sim = None
-                self._cancelled_in_heap -= 1
-                continue
-            if until is not None and when > until:
-                break
-            pop(heap)
-            event._sim = None
-            self._now = when
-            self.events_processed += 1
-            fire(event)
-            tick(self)
-            if self.events_processed > limit:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; runaway schedule?"
-                )
-        telemetry.run_end(self)
 
     def _peek(self) -> Optional[Event]:
         heap = self._heap

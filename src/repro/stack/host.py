@@ -204,19 +204,30 @@ class Host(Device):
     # Frame input
     # ==================================================================
     def on_frame(self, port: Port, data: bytes) -> None:
-        if (
-            not self.frame_taps.hooks
-            and not self.promiscuous
-            and len(data) >= 14
-            and not data[0] & 1  # I/G bit clear: unicast destination
-            and data[:6] != self.mac.packed
-        ):
-            # NIC-level filter: a non-promiscuous NIC drops foreign
-            # unicast by comparing the first six wire bytes — no frame
-            # object is built and nothing is captured, exactly like a
-            # sniffer running without promiscuous mode.  Taps or the
-            # promiscuous flag disable the filter.
-            return
+        self.on_frame_batch(port, (data,))
+
+    def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
+        """The NIC's one receive path: filter the batch, then the stack.
+
+        A non-promiscuous, untapped NIC drops foreign unicast by comparing
+        the first six wire bytes of every frame in one comprehension — no
+        frame object is built and nothing is captured, exactly like a
+        sniffer running without promiscuous mode.  Taps or the
+        promiscuous flag disable the filter.
+        """
+        if not self.frame_taps.hooks and not self.promiscuous:
+            mine = self.mac.packed
+            survivors = [
+                d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
+            ]
+            PERF.nic_batch_filtered += len(datas) - len(survivors)
+            datas = survivors
+        receive = self._receive
+        for data in datas:
+            receive(data)
+
+    def _receive(self, data: bytes) -> None:
+        """Capture, decode and dispatch one frame that passed the NIC."""
         self.recorder.record(self.sim.now, self.name, Direction.RX, data)
         try:
             # Lazy view: only the 14-byte header is parsed here.  A frame
@@ -238,32 +249,6 @@ class Host(Device):
                 tracer.current_frame = previous
         else:
             self._frame_dispatch(frame, data)
-
-    def on_frame_batch(self, port: Port, datas: Sequence[bytes]) -> None:
-        """Vectorized NIC receive: filter the whole batch, then unroll.
-
-        A non-promiscuous, untapped NIC compares destination MAC slices
-        across every frame in the batch in one comprehension — foreign
-        unicast never produces a frame view, a capture record, or even a
-        per-frame Python call.  Anything that makes the NIC see
-        everything (taps, promiscuous mode, tracing) falls back to the
-        exact per-frame path.
-        """
-        if self.frame_taps.hooks or self.promiscuous or TRACER.enabled:
-            on_frame = self.on_frame
-            for data in datas:
-                on_frame(port, data)
-            return
-        mine = self.mac.packed
-        survivors = [
-            d for d in datas if len(d) < 14 or d[0] & 1 or d[:6] == mine
-        ]
-        PERF.nic_batch_filtered += len(datas) - len(survivors)
-        if not survivors:
-            return
-        on_frame = self.on_frame
-        for data in survivors:
-            on_frame(port, data)
 
     def _frame_dispatch(self, frame: EthernetFrame, data: bytes) -> None:
         if self.frame_taps.hooks:

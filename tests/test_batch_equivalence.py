@@ -3,7 +3,8 @@
 for any seeded scenario, running it with coalesced batch dispatch and
 running it per-frame produce byte-identical ``TraceRecorder`` contents
 on every device and identical metric activity in the registry — across
-plain, VLAN-segmented and fault-impaired links.
+plain, VLAN-segmented and fault-impaired (lossy, duplicating, jittered
+and corrupting) links.
 
 This is the fixed-seed reproducibility guarantee the analysis framework
 rests on: batching is allowed to change *how many events* fire, never
@@ -47,7 +48,7 @@ def _run_scenario(
     injector = None
     if mode == "faults":
         injector = apply_faults(
-            FaultSpec(loss=0.2, dup=0.15, jitter=0.5e-3), lan
+            FaultSpec(loss=0.2, dup=0.15, jitter=0.5e-3, corrupt=0.2), lan
         )
 
     # Mixed traffic: resolutions (request/reply), known-unicast pings,

@@ -32,9 +32,9 @@ class TestCoalesce:
     def test_same_instant_items_share_one_flush(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce(1.0, sink, "b")
-        sim.coalesce(1.0, sink, "c")
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b"])
+        sim.coalesce(1.0, sink, ["c"])
         assert sim.pending() == 1  # one flush event, not three
         sim.run()
         assert sink.batches == [(1.0, ["a", "b", "c"])]
@@ -42,16 +42,16 @@ class TestCoalesce:
     def test_different_instants_do_not_coalesce(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce(2.0, sink, "b")
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(2.0, sink, ["b"])
         sim.run()
         assert sink.batches == [(1.0, ["a"]), (2.0, ["b"])]
 
     def test_different_sinks_do_not_coalesce(self):
         sim = Simulator(seed=1)
         one, two = _Sink(sim), _Sink(sim)
-        sim.coalesce(1.0, one, "a")
-        sim.coalesce(1.0, two, "b")
+        sim.coalesce(1.0, one, ["a"])
+        sim.coalesce(1.0, two, ["b"])
         sim.run()
         assert one.batches == [(1.0, ["a"])]
         assert two.batches == [(1.0, ["b"])]
@@ -64,53 +64,83 @@ class TestCoalesce:
         order = []
         sink_orig = sink.deliver_batch
         sink.deliver_batch = lambda items: (order.append("batch"), sink_orig(items))
-        sim.coalesce(1.0, sink, "a")
+        sim.coalesce(1.0, sink, ["a"])
         sim.schedule(1.0, lambda: order.append("plain"))
-        sim.coalesce(1.0, sink, "b")  # rides the existing flush
+        sim.coalesce(1.0, sink, ["b"])  # rides the existing flush
         sim.run()
         assert order == ["batch", "plain"]
         assert sink.batches == [(1.0, ["a", "b"])]
 
     def test_coalesce_many_extends_open_batch(self):
+        """Several items in one call extend an open batch, in order."""
         sim = Simulator(seed=1)
         sink = _Sink(sim)
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce_many(1.0, sink, ["b", "c"])
-        sim.coalesce_many(1.0, sink, [])  # no-op, schedules nothing
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b", "c"])
+        sim.coalesce(1.0, sink, [])  # no-op, schedules nothing
         assert sim.pending() == 1
         sim.run()
         assert sink.batches == [(1.0, ["a", "b", "c"])]
 
+    def test_empty_input_schedules_nothing(self):
+        for batching in (True, False):
+            sim = Simulator(seed=1, batching=batching)
+            sim.coalesce(1.0, _Sink(sim), [])
+            assert sim.pending() == 0
+
     def test_negative_delay_rejected(self):
-        sim = Simulator(seed=1)
-        sink = _Sink(sim)
-        with pytest.raises(ClockError):
-            sim.coalesce(-0.1, sink, "a")
-        with pytest.raises(ClockError):
-            sim.coalesce_many(-0.1, sink, ["a"])
+        """A time before the clock is rejected, batched or not."""
+        for batching in (True, False):
+            sim = Simulator(seed=1, batching=batching)
+            sink = _Sink(sim)
+            sim.schedule(0.5, lambda: None)
+            sim.run()
+            with pytest.raises(ClockError):
+                sim.coalesce(0.25, sink, ["a"])
+            with pytest.raises(ClockError):
+                sim.coalesce(0.25, sink, ["a", "b"])
+            assert sim.pending() == 0
 
     def test_perf_counters_track_flushes_and_items(self):
         sim = Simulator(seed=1)
         sink = _Sink(sim)
         flushes, items = PERF.batch_flushes, PERF.batched_items
-        sim.coalesce(1.0, sink, "a")
-        sim.coalesce(1.0, sink, "b")
-        sim.coalesce(2.0, sink, "c")
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b"])
+        sim.coalesce(2.0, sink, ["c"])
         sim.run()
         assert PERF.batch_flushes - flushes == 2
         assert PERF.batched_items - items == 3
 
-    def test_default_batching_inherited_and_overridable(self):
-        import repro.sim.simulator as simulator
+    def test_unbatched_items_are_batches_of_one(self):
+        """batching=False: one event per item, in arrival order, each
+        flushed as a batch of one that the batch counters do not see."""
+        sim = Simulator(seed=1, batching=False)
+        sink = _Sink(sim)
+        flushes, items = PERF.batch_flushes, PERF.batched_items
+        sim.coalesce(1.0, sink, ["a"])
+        sim.coalesce(1.0, sink, ["b", "c"])
+        assert sim.pending() == 3
+        assert [e.name for e in sim.iter_pending()] == ["link.carry"] * 3
+        sim.run()
+        assert sink.batches == [(1.0, ["a"]), (1.0, ["b"]), (1.0, ["c"])]
+        assert PERF.batch_flushes == flushes
+        assert PERF.batched_items == items
 
-        assert Simulator(seed=0).batching is simulator.DEFAULT_BATCHING
+    def test_unbatched_items_keep_their_own_heap_position(self):
+        sim = Simulator(seed=1, batching=False)
+        sink = _Sink(sim)
+        order = []
+        sink.deliver_batch = lambda items: order.extend(items)
+        sim.coalesce(1.0, sink, ["a"])
+        sim.schedule(1.0, lambda: order.append("plain"))
+        sim.coalesce(1.0, sink, ["b"])
+        sim.run()
+        assert order == ["a", "plain", "b"]
+
+    def test_batching_is_on_by_default(self):
+        assert Simulator(seed=0).batching is True
         assert Simulator(seed=0, batching=False).batching is False
-        original = simulator.DEFAULT_BATCHING
-        try:
-            simulator.DEFAULT_BATCHING = False
-            assert Simulator(seed=0).batching is False
-        finally:
-            simulator.DEFAULT_BATCHING = original
 
 
 class TestStepSpans:
@@ -216,14 +246,6 @@ class TestHookBatchModes:
         point.emit_batch([(1,), (2,)], "ctx")
         assert seen == [(1, "ctx"), (2, "ctx")]
 
-    def test_emit_batch_calls_batch_hooks_once(self):
-        point = HookPoint("t.emit")
-        calls = []
-        point.add(lambda items, extra: calls.append((list(items), extra)), batch=True)
-        assert point.has_batch_hooks
-        point.emit_batch([(1,), (2,)], "ctx")
-        assert calls == [([(1,), (2,)], "ctx")]
-
     def test_transform_batch_matches_per_item_transform(self):
         point = HookPoint("t.transform")
         point.add(lambda v: v * 2)
@@ -231,36 +253,22 @@ class TestHookBatchModes:
         values = [1, 2, 3]
         assert point.transform_batch(values) == [point.transform(v) for v in values]
 
-    def test_transform_batch_with_batch_hook_replaces_wholesale(self):
-        point = HookPoint("t.transform")
-        point.add(lambda values: [v * 10 for v in values], batch=True)
-        point.add(lambda v: v + 1)  # per-item hook after the batch one
-        assert point.transform_batch([1, 2]) == [11, 21]
-
     def test_transform_batch_isolates_crashing_hook(self):
         point = HookPoint("t.transform", fallback_label="boom")
 
-        def crash(values):
+        def crash(value):
             raise RuntimeError("boom")
 
-        point.add(crash, batch=True)
+        point.add(crash)
         errors = PERF.hook_errors
         assert point.transform_batch([1, 2]) == [1, 2]
-        assert PERF.hook_errors == errors + 1
+        assert PERF.hook_errors == errors + 2  # isolated once per item
 
     def test_empty_point_costs_one_truthiness_check(self):
         point = HookPoint("t.idle")
         values = [1, 2]
         assert point.transform_batch(values) == values
         point.emit_batch([(1,)], "ctx")  # no hooks: returns immediately
-        assert not point.has_batch_hooks
-
-    def test_removing_last_batch_hook_clears_flag(self):
-        point = HookPoint("t.flag")
-        remove = point.add(lambda items: None, batch=True)
-        assert point.has_batch_hooks
-        remove()
-        assert not point.has_batch_hooks
 
 
 def _foreign_unicast_wire() -> bytes:
@@ -341,3 +349,32 @@ class TestSwitchBatchPath:
         hosts[0].ping(hosts[1].ip)
         sim.run(until=2.0)
         assert monitor.nic.rx_frames > 0
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_length_field_frame_is_undecodable(self, batching):
+        """An 802.3 length-field frame (ethertype < 0x0600) — what a
+        corrupt= fault flipping bit 3 of byte 12 makes of an ARP frame —
+        is counted undecodable: not learned, mirrored or flooded."""
+        sim = Simulator(seed=4, batching=batching)
+        lan = Lan(sim)
+        hosts = [lan.add_host(f"h{i}") for i in range(4)]
+        monitor = lan.add_monitor()
+        sim.run(until=1.0)
+        sender = MacAddress("02:cc:00:00:00:42")
+        arp = EthernetFrame(
+            dst=MacAddress("ff:ff:ff:ff:ff:ff"),
+            src=sender,
+            ethertype=EtherType.ARP,
+            payload=b"\x00" * 28,
+        ).encode()
+        corrupted = arp[:12] + bytes((arp[12] ^ 0x08,)) + arp[13:]
+        assert corrupted[12:14] == b"\x00\x06"
+        switch = lan.switch
+        before = (switch.flooded_frames, switch.forwarded_frames)
+        rx = [h.nic.rx_frames for h in hosts] + [monitor.nic.rx_frames]
+        hosts[0].nic.transmit(corrupted)
+        sim.run(until=2.0)
+        assert switch.undecodable_frames == 1
+        assert (switch.flooded_frames, switch.forwarded_frames) == before
+        assert [h.nic.rx_frames for h in hosts] + [monitor.nic.rx_frames] == rx
+        assert sender not in switch.cam

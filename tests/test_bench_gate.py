@@ -11,7 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.perf.bench import (
-    BATCH_ONLY_BENCHMARKS,
     check,
     expected_benchmark_names,
     load_baseline,
@@ -38,9 +37,6 @@ class TestCommittedBaseline:
             f"baseline/suite drift: only in baseline {baseline - expected}, "
             f"only in suite {expected - baseline}"
         )
-
-    def test_batch_only_keys_are_known_benchmarks(self):
-        assert BATCH_ONLY_BENCHMARKS <= expected_benchmark_names()
 
     def test_headline_meets_the_batching_target(self):
         """The committed headline must reflect the batched plane: at

@@ -77,6 +77,26 @@ class TestEventCadence:
         sim.run(until=5.0)  # clock fill only, no events
         assert len(rec.snapshots) == before
 
+    def test_max_events_limit_is_unchanged_by_telemetry(self):
+        """The cadence mark shares the run loop's max_events compare:
+        the runaway limit trips after the same event either way, and
+        samples still land every cadence_events events up to it."""
+        from repro.errors import SimulationError
+
+        fired = {}
+        for telemetered in (False, True):
+            sim = _busy_sim()
+            rec = TelemetryRecorder(cadence_events=7, include_metrics=False)
+            if telemetered:
+                rec.attach(sim)
+            with pytest.raises(SimulationError, match="max_events=40"):
+                sim.run(max_events=40)
+            fired[telemetered] = sim.events_processed
+            if telemetered:
+                cadence = [s for s in rec.snapshots if s["reason"] == "cadence"]
+                assert [s["events"] for s in cadence] == [7, 14, 21, 28, 35]
+        assert fired == {False: 41, True: 41}
+
     def test_untelemetered_simulator_is_untouched(self):
         sim = _busy_sim()
         assert sim.telemetry is None

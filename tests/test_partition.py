@@ -117,7 +117,7 @@ class TestPartition:
         p.schedule_at(0.5, lambda: None)
         p.run(until=0.5)
         with pytest.raises(ClockError):
-            p.coalesce_at(0.25, object(), b"x")
+            p.coalesce(0.25, object(), (b"x",))
 
 
 class TestShardedSimulator:

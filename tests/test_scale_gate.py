@@ -37,7 +37,7 @@ class TestBaselineFile:
 
     def test_allow_missing_folding(self):
         """A quick/skipped run may miss scale keys only when the caller
-        folds them into allow_missing — the BATCH_ONLY_BENCHMARKS idiom."""
+        folds them into allow_missing."""
         baseline = {name: 100.0 for name in SCALE_BENCHMARKS}
         quick_results = {
             name: 100.0 for name in SCALE_BENCHMARKS - SCALE_FULL_ONLY
