@@ -1,15 +1,13 @@
 """The golden pin: fixed-seed values of the paper's tables and figures.
 
 ``GOLDEN.json`` at the repository root holds ``result.to_dict()`` of
-every ``api.run`` cell behind Tables 2-4 and Figures 1, 3 and 4, run at
-the parameters ``repro table N`` / ``repro figure N`` use by default.  A
+every ``api.run`` cell behind Tables 2-4 and Figures 1-4, run at the
+parameters ``repro table N`` / ``repro figure N`` use by default.  A
 refactor that changes any science result fails the comparison.
-Figure 2 is not pinned: its 64-host column does not run at its defaults
-yet (the scenario's switch runs out of ports).
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python tests/golden.py --check T3 T4   # compare cells
+    PYTHONPATH=src python tests/golden.py --check T3 T4 F2   # compare cells
     PYTHONPATH=src python tests/golden.py --update        # re-record all
 
 Re-record only when a science result is meant to change, and explain the
@@ -29,7 +27,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent.parent / "GOLDEN.json"
 
 #: Artifacts the tier-1 suite compares; the rest run in a slower CI job.
 FAST_ARTIFACTS = ("T2", "F1", "F3", "F4")
-SLOW_ARTIFACTS = ("T3", "T4")
+SLOW_ARTIFACTS = ("T3", "T4", "F2")
 ARTIFACTS = FAST_ARTIFACTS + SLOW_ARTIFACTS
 
 
@@ -59,6 +57,9 @@ def cells(artifacts: Sequence[str] = ARTIFACTS) -> List[dict]:
     for rate in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
         for scheme in DETECTOR_KEYS:
             add("F1", "detection-latency", scheme, poison_rate=rate)
+    for n_hosts in (8, 16, 32, 64):
+        for scheme in (None, "s-arp", "tarp", "active-probe"):
+            add("F2", "overhead", scheme, n_hosts=n_hosts)
     for scheme in LATENCY_KEYS:
         add("F3", "resolution-latency", scheme, n_resolutions=30)
     for scheme in (None, "anticap", "dai", "s-arp", "hybrid"):

@@ -7,6 +7,7 @@ import pytest
 from repro.core.analyzer import Analyzer
 from repro.core.criteria import CRITERIA, comparison_matrix, coverage_matrix
 from repro.core.experiment import (
+    Scenario,
     ScenarioConfig,
     run_detection_latency,
     run_effectiveness,
@@ -109,6 +110,13 @@ class TestLatencyAndOverhead:
         sarp = run_overhead("s-arp", n_hosts=6, resolutions_per_host=2)
         assert sarp.frames_per_resolution > plain.frames_per_resolution
         assert sarp.bytes_per_resolution > plain.bytes_per_resolution
+
+    def test_switch_is_sized_for_the_testbed(self):
+        """Figure 2's 64-host column fits; smaller testbeds keep 64 ports."""
+        assert len(Scenario(ScenarioConfig(n_hosts=8)).lan.switch.ports) == 64
+        big = Scenario(ScenarioConfig(n_hosts=64))
+        assert len(big.users) == 64
+        assert len(big.lan.switch.ports) == 68
 
     def test_resolution_latency_ordering(self):
         plain = run_resolution_latency(None, n_resolutions=8)

@@ -1,7 +1,8 @@
 """The paper's fixed-seed artifacts regenerate exactly (see ``tests/golden.py``).
 
-Tables 2 and Figures 1, 3 and 4 are compared here; Tables 3 and 4 take
-longer and are compared by ``python tests/golden.py --check T3 T4``.
+Table 2 and Figures 1, 3 and 4 are compared here; Tables 3 and 4 and
+Figure 2 take longer and are compared by
+``python tests/golden.py --check T3 T4 F2``.
 """
 
 from __future__ import annotations
