@@ -24,10 +24,13 @@ from repro.perf import PERF
 from repro.sim.simulator import Simulator
 
 
-def _flood_lan(batching: bool, n_hosts: int = 8):
+def _flood_lan(batching: bool, n_hosts: int = 8, capture: bool = False):
     sim = Simulator(seed=11, batching=batching)
     lan = Lan(sim)
     hosts = [lan.add_host(f"h{i}") for i in range(n_hosts)]
+    if capture:
+        for host in hosts:
+            host.capture()
     sender = hosts[0]
     sender.ping(hosts[1].ip)
     sim.run(until=1.0)
@@ -87,7 +90,7 @@ def test_bench_batched_matches_unbatched():
     """Both planes produce identical per-host traffic (not a timing test)."""
 
     def run(batching: bool):
-        sim, lan, hosts, sender, frame = _flood_lan(batching=batching)
+        sim, lan, hosts, sender, frame = _flood_lan(batching=batching, capture=True)
         for _ in range(50):
             sender.transmit_frame(frame)
         sim.run(until=sim.now + 5.0)
@@ -120,6 +123,7 @@ def test_bench_nic_batch_filter(benchmark):
     from repro.stack.host import Host
 
     host = Host(sim, "bench-host", mac=MacAddress("02:bb:00:00:00:01"))
+    host.capture()
     wire = EthernetFrame(
         dst=MacAddress("02:cc:00:00:00:99"),  # not ours, unicast
         src=MacAddress("02:cc:00:00:00:01"),

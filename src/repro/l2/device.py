@@ -2,9 +2,16 @@
 
 A :class:`Device` owns :class:`Port` objects; a :class:`Link` joins exactly
 two ports and carries raw frame bytes between them with a configurable
-propagation latency and serialization rate.  Every link can host a
-:class:`~repro.sim.trace.TraceRecorder`, which is how sniffers and the
-evaluation's overhead accounting observe traffic.
+propagation latency and serialization rate.
+
+Capture is on demand.  A link or device records frames into a
+:class:`~repro.sim.trace.TraceRecorder` only once one is attached: pass
+``recorder=`` to a :class:`Link`, or call :meth:`Device.capture`.  Until
+then its ``recorder`` is ``None`` and a frame costs one ``is None``
+check, so an unobserved device holds no capture memory however much
+traffic it carries.  Whatever reads a capture attaches it first: the
+monitor station (``add_monitor``), the overhead experiment's switch
+count, sniffers and tests.
 
 Every frame takes one delivery path, built for batches: a port hands its
 link a frame batch (:meth:`Port.transmit_batch`), the link hands each
@@ -216,6 +223,19 @@ class Device:
         self.sim = sim
         self.name = name
         self.ports: List[Port] = []
+        #: Frame capture, attached by :meth:`capture`; ``None`` records nothing.
+        self.recorder: Optional[TraceRecorder] = None
+
+    def capture(self) -> TraceRecorder:
+        """Start capturing this device's frames; returns the recorder.
+
+        The first call attaches a :class:`TraceRecorder`; later calls
+        return that same recorder.  Frames seen before the first call
+        are not in it.
+        """
+        if self.recorder is None:
+            self.recorder = TraceRecorder()
+        return self.recorder
 
     def add_port(self, name: str = "") -> Port:
         port = Port(self, index=len(self.ports), name=name)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.errors import TopologyError
 from repro.l2.device import Device, Port
 from repro.sim.simulator import Simulator
-from repro.sim.trace import Direction, TraceRecorder
+from repro.sim.trace import Direction
 
 __all__ = ["Hub"]
 
@@ -24,11 +24,11 @@ class Hub(Device):
             raise TopologyError("a hub needs at least two ports")
         for _ in range(num_ports):
             self.add_port()
-        self.recorder = TraceRecorder()
         self.repeated_frames = 0
 
     def on_frame(self, port: Port, data: bytes) -> None:
-        self.recorder.record(self.sim.now, port.name, Direction.RX, data)
+        if self.recorder is not None:
+            self.recorder.record(self.sim.now, port.name, Direction.RX, data)
         self.repeated_frames += 1
         for other in self.ports:
             if other.index != port.index:

@@ -24,7 +24,7 @@ from repro.obs.trace import TRACER
 from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.perf import PERF
 from repro.sim.simulator import Simulator
-from repro.sim.trace import Direction, TraceRecorder
+from repro.sim.trace import Direction
 
 __all__ = ["Switch", "IngressFilter"]
 
@@ -59,7 +59,6 @@ class Switch(Device):
         )
         self._mirror_sources: Set[int] = set()
         self._mirror_target: Optional[int] = None
-        self.recorder = TraceRecorder()
         self.flooded_frames = 0
         self.forwarded_frames = 0
         self.dropped_frames = 0
@@ -158,7 +157,7 @@ class Switch(Device):
         :meth:`_admit` on its own, and an admitted frame then runs the
         same pass as a batch of one.
         """
-        record = self.recorder.record
+        record = self.recorder.record if self.recorder is not None else None
         now = self.sim.now
         name = port.name
         if (
@@ -169,11 +168,13 @@ class Switch(Device):
         ):
             admit = self._admit
             for data in datas:
-                record(now, name, Direction.RX, data)
+                if record is not None:
+                    record(now, name, Direction.RX, data)
                 admit(port, data)
             return
-        for data in datas:
-            record(now, name, Direction.RX, data)
+        if record is not None:
+            for data in datas:
+                record(now, name, Direction.RX, data)
         self._data_plane_batch(port, datas)
 
     def _admit(self, port: Port, data: bytes) -> None:

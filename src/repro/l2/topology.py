@@ -290,6 +290,7 @@ class Lan:
             gateway=None,
         )
         monitor.promiscuous = True
+        monitor.capture()  # the IDS station is the capture's reader
         self.hosts[name] = monitor
         port_index = self._wire(monitor)
         self.switch_port_of[name] = port_index
@@ -550,6 +551,7 @@ class Campus:
             ip=self.network.host(2),
             promiscuous=True,
         )
+        monitor.capture()  # the IDS station is the capture's reader
         self.switches[leaf_name].mirror_all_to(self.attachment_of[name][1])
         self.monitor = monitor
         return monitor

@@ -42,6 +42,7 @@ class PerfCounters:
         "batch_flushes",
         "batched_items",
         "nic_batch_filtered",
+        "arp_rx_skipped",
         "cam_sweeps",
         "cam_sweep_skips",
     )
@@ -70,6 +71,9 @@ class PerfCounters:
         #: Foreign unicast frames dropped by the vectorized NIC filter
         #: without an event, a frame view, or a per-frame Python call.
         self.nic_batch_filtered = 0
+        #: ARP requests a host counted and ignored from their wire bytes,
+        #: without decoding them (the host's ARP early-out).
+        self.arp_rx_skipped = 0
         #: CAM aging sweeps actually performed (full dict walks).
         self.cam_sweeps = 0
         #: CAM sweeps skipped by the next-expiry watermark.
@@ -143,6 +147,7 @@ class PerfCounters:
             "batched_items": self.batched_items,
             "batch_coalesce_rate": round(self.batch_coalesce_rate, 4),
             "nic_batch_filtered": self.nic_batch_filtered,
+            "arp_rx_skipped": self.arp_rx_skipped,
             "cam_sweeps": self.cam_sweeps,
             "cam_sweep_skips": self.cam_sweep_skips,
             "intern_hits": self.intern_hits,

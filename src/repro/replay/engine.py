@@ -24,9 +24,12 @@ Two delivery modes, picked automatically per run:
   when an installed scheme overrides ``on_any_frame`` and therefore
   inspects non-ARP/DHCP traffic.
 
-Either way the source is consumed *pull-based* behind the window, so a
-multi-GB trace replays in O(window) memory — ``peak_in_flight`` records
-the high-water mark and the bounded-memory test pins it to the window.
+Either way the source is consumed *pull-based* behind the window, and
+the replay station keeps no capture of what it is handed, so a multi-GB
+trace replays in O(window) frame memory; only the installed scheme's own
+state (bindings, alerts) grows.  ``peak_in_flight`` records the
+high-water mark, and the tests pin it to the window and check that the
+station holds no capture.
 
 Timekeeping: the engine drives the simulation clock from trace
 timestamps via :meth:`~repro.sim.Simulator.advance_to`, so scheme
@@ -114,8 +117,14 @@ class _ObserverHost(Host):
     double-decode every ARP frame for no observable effect.  Frames
     addressed to the station itself (replies to its own active probes)
     still reach the stack, so probe bookkeeping works if a trace ever
-    contains them.
+    contains them.  The station keeps no capture of its own: the trace
+    it replays is the capture.
     """
+
+    def _ignorable_arp_request(self, data: bytes) -> bool:
+        # Broadcast requests never reach this station's stack, so there
+        # is nothing for the host's early-out to count.
+        return False
 
     def _frame_dispatch(self, frame, data) -> None:
         if self.frame_taps.hooks:

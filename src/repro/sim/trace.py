@@ -1,9 +1,12 @@
 """Frame capture — the simulator's answer to tcpdump/libpcap.
 
-A :class:`TraceRecorder` is attached wherever frames should be observable
-(links, switch ports, host NICs).  Records carry the simulated timestamp,
-the capture location, direction, and the raw frame bytes, so a detector
-operating on a capture sees exactly what a sniffer on a mirror port would.
+A :class:`TraceRecorder` is attached wherever something reads the frames
+and nowhere else: a link built with ``recorder=``, or a device after
+:meth:`~repro.l2.device.Device.capture` (the monitor station, the
+overhead experiment's switch, sniffers and tests).  Devices without one
+record nothing.  Records carry the simulated timestamp, the capture
+location, direction, and the raw frame bytes, so a detector operating on
+a capture sees exactly what a sniffer on a mirror port would.
 
 Storage is a bounded ring: once ``capacity`` records are held, each new
 capture evicts the oldest (like a sniffer's ring buffer) and bumps

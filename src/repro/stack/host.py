@@ -17,6 +17,12 @@ defenses attach:
 fault-isolated (a crashing guard is counted and attributed, not fatal),
 and safe against removal during dispatch.  They keep a list-compatible
 ``append``/``remove`` surface for ad-hoc taps.
+
+While none of those observes the ARP path and the tracer is off, a
+received ARP request that can change nothing here (not for this host,
+not gratuitous, from a sender it neither caches nor is resolving) is
+counted from its wire bytes and never decoded: the ARP early-out,
+:meth:`Host._ignorable_arp_request`.
 """
 
 from __future__ import annotations
@@ -37,18 +43,23 @@ from repro.net.addresses import (
 )
 from repro.obs.trace import TRACER
 from repro.perf import PERF
-from repro.packets.arp import ArpOp, ArpPacket
+from repro.packets.arp import SARP_MAGIC, TARP_MAGIC, ArpPacket
 from repro.packets.ethernet import EtherType, EthernetFrame
 from repro.packets.icmp import IcmpMessage, IcmpType
 from repro.packets.ipv4 import IpProto, Ipv4Packet
 from repro.packets.tcp import TcpFlags, TcpSegment
 from repro.packets.udp import UdpDatagram
 from repro.sim.simulator import Simulator
-from repro.sim.trace import Direction, TraceRecorder
+from repro.sim.trace import Direction
 from repro.stack.arp_cache import ArpCache, BindingSource
 from repro.stack.os_profiles import LINUX, OsProfile
 
 __all__ = ["Host", "ArpGuard", "UdpHandler"]
+
+#: Frame bytes 12-21 of an Ethernet/IPv4 ARP request: ethertype 0x0806,
+#: htype 1, ptype 0x0800, hlen 6, plen 4, op 1.
+_ARP_REQUEST_HEAD = b"\x08\x06\x00\x01\x08\x00\x06\x04\x00\x01"
+_ARP_MAGICS = (SARP_MAGIC, TARP_MAGIC)
 
 #: Guard verdicts: True = force accept, False = drop, None = no opinion.
 ArpGuard = Callable[["Host", ArpPacket, EthernetFrame], Optional[bool]]
@@ -113,7 +124,6 @@ class Host(Device):
             default_timeout=profile.cache_timeout,
             capacity=profile.neighbor_table_size,
         )
-        self.recorder = TraceRecorder()
         self.promiscuous = False
         self.ip_forward = False
 
@@ -228,7 +238,13 @@ class Host(Device):
 
     def _receive(self, data: bytes) -> None:
         """Capture, decode and dispatch one frame that passed the NIC."""
-        self.recorder.record(self.sim.now, self.name, Direction.RX, data)
+        if self.recorder is not None:
+            self.recorder.record(self.sim.now, self.name, Direction.RX, data)
+        if data[12:22] == _ARP_REQUEST_HEAD and self._ignorable_arp_request(data):
+            # The ARP early-out: counted as received, and nothing else.
+            self.counters["arp_rx"] += 1
+            PERF.arp_rx_skipped += 1
+            return
         try:
             # Lazy view: only the 14-byte header is parsed here.  A frame
             # this host drops (foreign unicast, unhandled ethertype) is
@@ -269,6 +285,36 @@ class Host(Device):
     # ==================================================================
     # ARP
     # ==================================================================
+    def _ignorable_arp_request(self, data: bytes) -> bool:
+        """Whether the full path would count this ARP request and do
+        nothing else, judged from its wire bytes (the ARP early-out).
+
+        The caller has matched bytes 12-21: ethertype ARP and the fixed
+        Ethernet/IPv4 request header.  Nothing may observe this host's
+        ARP path: no frame taps, no ARP guards, no ``arp_rx_cost``, and
+        the tracer off (a traced run records a ``host.rx`` span per
+        frame).  The request must decode as classic ARP (42 bytes or
+        more, no S-ARP/TARP trailer), be addressed to this host, neither
+        ask for its IP nor be gratuitous, and come from a sender it
+        neither caches nor is resolving: :meth:`_arp_request_in` then
+        answers nothing and learns nothing.
+        """
+        if (
+            self.frame_taps.hooks
+            or self.arp_guards.hooks
+            or self.arp_rx_cost is not None
+            or TRACER.enabled
+            or len(data) < 42
+            or (len(data) >= 48 and data[42:46] in _ARP_MAGICS)
+            or not (data[0] & 1 or data[:6] == self.mac.packed)
+        ):
+            return False
+        spa, tpa = data[28:32], data[38:42]
+        if spa == tpa or (self.ip is not None and tpa == self.ip.packed):
+            return False
+        sender = Ipv4Address.from_wire(spa)
+        return sender not in self.arp_cache and sender not in self._pending_arp
+
     def _arp_rx(self, frame: EthernetFrame) -> None:
         try:
             arp = ArpPacket.decode(frame.payload)
@@ -602,7 +648,8 @@ class Host(Device):
                 parent=TRACER.current_frame,
             )
             TRACER.instant("host.tx", node=self.name, frame=fid, origin=origin)
-        self.recorder.record(self.sim.now, self.name, Direction.TX, data)
+        if self.recorder is not None:
+            self.recorder.record(self.sim.now, self.name, Direction.TX, data)
         self.nic.transmit(data)
 
     def _ip_rx(self, frame: EthernetFrame) -> None:

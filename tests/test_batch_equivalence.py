@@ -40,6 +40,10 @@ def _run_scenario(
     sim = Simulator(seed=seed, batching=batching)
     lan = Lan(sim)
     hosts = [lan.add_host(f"h{i}") for i in range(n_hosts)]
+    # Capture is on demand: attach it on every compared device before
+    # any traffic, so the property never compares two absent captures.
+    captures = {h.name: h.capture() for h in hosts}
+    captures["switch"] = lan.switch.capture()
     if mode == "vlan":
         for host in hosts:
             lan.switch.set_access_port(
@@ -71,8 +75,7 @@ def _run_scenario(
     if injector is not None:
         injector.uninstall()
 
-    recorders = {h.name: list(h.recorder) for h in hosts}
-    recorders["switch"] = list(lan.switch.recorder)
+    recorders = {name: list(recorder) for name, recorder in captures.items()}
     counters = {h.name: dict(h.counters) for h in hosts}
     rx = {h.name: (h.nic.rx_frames, h.nic.rx_bytes) for h in hosts}
     # Only the metrics section: the perf collector legitimately differs

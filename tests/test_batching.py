@@ -284,6 +284,7 @@ class TestHostNicBatchFilter:
     def test_foreign_unicast_filtered_without_frame_views(self):
         sim = Simulator(seed=2)
         host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
+        host.capture()
         batch = [_foreign_unicast_wire()] * 5
         lazy, filtered = PERF.lazy_frames, PERF.nic_batch_filtered
         host.on_frame_batch(host.nic, batch)
@@ -294,6 +295,7 @@ class TestHostNicBatchFilter:
     def test_addressed_and_broadcast_frames_survive(self):
         sim = Simulator(seed=2)
         host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
+        host.capture()
         mine = EthernetFrame(
             dst=host.mac,
             src=MacAddress("02:cc:00:00:00:01"),
@@ -312,6 +314,7 @@ class TestHostNicBatchFilter:
     def test_promiscuous_mode_disables_the_batch_filter(self):
         sim = Simulator(seed=2)
         host = Host(sim, "h", mac=MacAddress("02:bb:00:00:00:01"))
+        host.capture()
         host.promiscuous = True
         filtered = PERF.nic_batch_filtered
         host.on_frame_batch(host.nic, [_foreign_unicast_wire()] * 3)

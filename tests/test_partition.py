@@ -36,6 +36,7 @@ def _crossover_single(seed: int, latency: float):
     alice = _host(sim, "alice", 1)
     bob = _host(sim, "bob", 2)
     Link(sim, alice.nic, bob.nic, latency=latency)
+    alice.capture(), bob.capture()
     alice.ping(bob.ip)
     sim.run(until=1.0)
     return sim, alice, bob
@@ -49,6 +50,7 @@ def _crossover_sharded(seed: int, latency: float):
     alice = left.register(_host(left, "alice", 1))
     bob = right.register(_host(right, "bob", 2))
     fabric.connect(alice.nic, bob.nic, latency=latency)
+    alice.capture(), bob.capture()
     alice.ping(bob.ip)
     fabric.run(until=1.0)
     return fabric, alice, bob

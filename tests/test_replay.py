@@ -159,6 +159,18 @@ class TestReplayEngine:
         assert 0 < stats["peak_in_flight"] <= window
         assert engine.peak_in_flight <= window
 
+    @pytest.mark.parametrize("window, frames", [(64, 5_000), (1, 500)])
+    def test_replay_station_retains_no_capture(self, window, frames):
+        """Memory stays O(window) in both delivery modes: the replay
+        station keeps no capture of the frames it has been handed."""
+        engine = ReplayEngine(Simulator(seed=1), window=window)
+        engine.install(make_defense("arpwatch"))
+        stats = engine.run(SyntheticSource(frames=frames, seed=3))
+        assert stats["frames"] == frames > window
+        assert stats["delivered"] > 0
+        assert engine.lan.monitor.recorder is None
+        assert stats["peak_in_flight"] <= window
+
     def test_window_one_forces_per_frame(self):
         engine = ReplayEngine(Simulator(seed=1), window=1)
         stats = engine.run(SyntheticSource(frames=500))

@@ -95,6 +95,10 @@ def _run_chain(
     else:
         engine = Simulator(seed=seed, batching=batching)
     hosts, switches = _build_chain(engine, hosts_per_switch, sharded)
+    # Capture is on demand: attach it on every compared device before
+    # any traffic, so the property never compares two absent captures.
+    for device in hosts + switches:
+        device.capture()
     n = len(hosts)
     for step, (a, b) in enumerate(pings):
         src, dst = hosts[a % n], hosts[b % n]

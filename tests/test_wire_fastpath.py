@@ -414,6 +414,8 @@ class TestNicFilter:
         sim = Simulator(seed=5)
         lan = Lan(sim)
         hosts = [lan.add_host(f"h{i}") for i in range(3)]
+        for host in hosts:
+            host.capture()
         sim.run(until=0.5)
         return sim, lan, hosts
 
