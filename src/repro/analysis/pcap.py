@@ -8,16 +8,13 @@ back in and fed to the offline analyzer or the replay engine.
 The primitives are streaming: :func:`iter_pcap` is a generator over a
 fixed-size read buffer (a multi-GB capture is never materialized), and
 :class:`PcapWriter` is a context manager with incremental ``append()``.
-The eager :func:`read_pcap`/:func:`write_pcap` remain as warn-once
-deprecation shims over them.
 """
 
 from __future__ import annotations
 
 import struct
-import warnings
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, List, Union
+from typing import BinaryIO, Iterator, Union
 
 from repro.errors import PcapError
 from repro.sim.trace import Direction, TraceRecord
@@ -26,8 +23,6 @@ __all__ = [
     "PCAP_MAGIC",
     "PcapWriter",
     "iter_pcap",
-    "read_pcap",
-    "write_pcap",
 ]
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -49,9 +44,8 @@ class PcapWriter:
     beyond the OS file buffer, so arbitrarily long captures stream out
     in O(1) memory.
 
-    Unlike the legacy :func:`write_pcap`, records are written in call
-    order; callers feeding live taps already append in timestamp order,
-    and the shim sorts before delegating.
+    Records are written in call order; callers feeding live taps already
+    append in timestamp order.
     """
 
     def __init__(
@@ -176,47 +170,3 @@ def iter_pcap(
         if owns:
             reader.close()
 
-
-# ======================================================================
-# Legacy eager API — thin deprecation shims over the streaming primitives
-# ======================================================================
-#: Legacy function names that already warned this process (warn once each).
-_LEGACY_WARNED: set = set()
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    if name in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(name)
-    warnings.warn(
-        f"repro.analysis.pcap.{name}() is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def write_pcap(
-    records: Iterable[TraceRecord],
-    destination: Union[str, Path],
-    snaplen: int = 65535,
-) -> int:
-    """Deprecated: use :class:`PcapWriter`.
-
-    Sorts ``records`` by timestamp (pcap readers expect monotonic
-    captures) then streams them through an incremental writer.
-    """
-    _warn_legacy("write_pcap", "PcapWriter")
-    with PcapWriter(destination, snaplen=snaplen) as writer:
-        for record in sorted(records, key=lambda r: r.time):
-            writer.append(record)
-        return writer.count
-
-
-def read_pcap(source: Union[str, Path]) -> List[TraceRecord]:
-    """Deprecated: use :func:`iter_pcap`.
-
-    Eagerly materializes the whole capture as a list — fine for test
-    fixtures, wrong for multi-GB traces.
-    """
-    _warn_legacy("read_pcap", "iter_pcap")
-    return list(iter_pcap(source))

@@ -15,23 +15,17 @@ Commands
     Sweep an experiment over schemes × variants × seeds on a worker
     pool (``--jobs``), with on-disk result caching (``--cache-dir`` /
     ``--no-cache``), and print multi-trial aggregate statistics.
-``trace``
-    Run one fixed-seed poisoning experiment with tracing enabled and
-    export the event log as a Chrome trace (Perfetto-loadable) or JSONL,
-    including the frame-provenance table that links every scheme alert
-    back to the injecting attack.
-``metrics``
-    Run one fixed-seed experiment and dump the metrics registry in
-    Prometheus text (or JSON snapshot) form.
+``run KIND``
+    Run one experiment kind (any :data:`repro.core.api.KINDS` entry)
+    through :func:`repro.core.api.run` and print its result as JSON.
+    ``--set KEY=VALUE`` sets a kind parameter or a ``ScenarioConfig``
+    field; ``--trace-out``, ``--metrics-out``, ``--profile-out`` and
+    ``--telemetry-out`` trace, meter, profile and telemeter the run.
 ``replay``
     Stream a frame trace — a pcap capture (``--pcap``) or a seeded
     synthetic generator (``--synthetic``) — through a monitor-placed
     scheme's tap in bounded memory, and report frames, alerts, and
     sustained ingest throughput.
-``profile``
-    Run one experiment under the sampling wall-clock profiler and
-    export collapsed stacks (flamegraph.pl / speedscope input) with
-    per-subsystem attribution.
 ``top``
     Live per-worker progress view over the heartbeat files a campaign
     writes when the run-health watchdog is enabled.
@@ -41,7 +35,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, Optional
 
 from repro._version import __version__
 from repro.core import api, report
@@ -202,15 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", action="append", default=None, dest="variant_overrides",
         metavar="KEY=VALUE",
         help="override one variant-grid key across every cell (repeatable); "
-             "numeric-looking values parse as numbers — e.g. for "
+             "numbers and true/false are parsed — e.g. for "
              "campus-churn: --variant hosts_per_leaf=50 --variant shards=2",
     )
     camp.add_argument("--csv", action="store_true", help="emit CSV")
     camp.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write a Prometheus text dump of the aggregated metrics "
-             "(per-cell detection-latency histograms, alert totals, and "
-             "worker perf counters) to PATH",
+        help="write a Prometheus text dump (a JSON snapshot for a .json "
+             "PATH) of the aggregated metrics (per-cell detection-latency "
+             "histograms, alert totals, and worker perf counters)",
     )
     camp.add_argument(
         "--telemetry-out", default=None, metavar="PATH",
@@ -234,65 +229,46 @@ def build_parser() -> argparse.ArgumentParser:
              "is graded stalled (default: 10)",
     )
 
-    def _obs_experiment_args(p) -> None:
-        p.add_argument(
-            "--scheme", default="dai", type=_scheme_spec, metavar="SPEC",
-            help="defense to install: a scheme key or a '+'-joined stack "
-                 "such as dai+arpwatch (default: dai)",
-        )
-        p.add_argument(
-            "--technique", default="reply",
-            choices=["reply", "request", "gratuitous", "reactive"],
-            help="poisoning technique (default: reply)",
-        )
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--hosts", type=int, default=4)
-        p.add_argument("--duration", type=float, default=12.0,
-                       help="attack duration in simulated seconds")
-        p.add_argument(
-            "--faults", default=None, type=_fault_spec, metavar="SPEC",
-            help="link/host impairments, e.g. loss=0.05,jitter=2ms "
-                 "(default: clean LAN)",
-        )
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="output file (default: stdout)")
-
-    trace = sub.add_parser(
-        "trace",
-        help="trace one poisoning experiment and export the event log",
+    run = sub.add_parser(
+        "run",
+        help="run one experiment kind, optionally traced, metered, "
+             "profiled and telemetered",
     )
-    _obs_experiment_args(trace)
-    trace.add_argument(
-        "--format", default="chrome", choices=["chrome", "jsonl"],
-        help="chrome = trace-event JSON for Perfetto; jsonl = one event "
-             "per line (default: chrome)",
+    run.add_argument("kind", type=api.normalize_kind, choices=sorted(api.KINDS))
+    run.add_argument(
+        "--scheme", default=None, type=_scheme_spec, metavar="SPEC",
+        help="defense to install: a scheme key or a '+'-joined stack "
+             "such as dai+arpwatch (default: none)",
     )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run one poisoning experiment and dump the metrics registry",
+    run.add_argument(
+        "--faults", default=None, type=_fault_spec, metavar="SPEC",
+        help="link/host impairments, e.g. loss=0.05,jitter=2ms "
+             "(default: clean LAN)",
     )
-    _obs_experiment_args(metrics)
-    metrics.add_argument(
-        "--format", default="prometheus", choices=["prometheus", "json"],
-        help="Prometheus text exposition or raw JSON snapshot "
-             "(default: prometheus)",
+    run.add_argument(
+        "--set", action="append", default=None, dest="settings",
+        metavar="KEY=VALUE",
+        help="set one kind parameter or, failing that, one ScenarioConfig "
+             "field (repeatable); numbers and true/false are parsed",
     )
-
-    prof = sub.add_parser(
-        "profile",
-        help="run one poisoning experiment under the sampling wall-clock "
-             "profiler and export collapsed stacks (flamegraph input)",
+    run.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="trace the run: Chrome trace JSON (Perfetto), or one event "
+             "per line for a .jsonl PATH",
     )
-    _obs_experiment_args(prof)
-    prof.add_argument(
-        "--interval", type=float, default=0.002, metavar="SECS",
-        help="sampling interval in seconds (default: 0.002)",
+    run.add_argument(
+        "--metrics-out", default=None, metavar="PATH",
+        help="dump the metrics registry after the run: Prometheus text, "
+             "or a JSON snapshot for a .json PATH",
     )
-    prof.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run the experiment N times under one profiler session "
-             "(more samples, default: 1)",
+    run.add_argument(
+        "--profile-out", default=None, metavar="PATH",
+        help="sample the run with the wall-clock profiler and write "
+             "collapsed stacks (flamegraph input)",
+    )
+    run.add_argument(
+        "--telemetry-out", default=None, metavar="PATH",
+        help="stream a live JSONL time series of the run to PATH",
     )
 
     top = sub.add_parser(
@@ -379,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=7)
     replay.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write a Prometheus text dump (replay counters, ingest "
-             "histograms, per-scheme alert totals) to PATH",
+        help="write a Prometheus text dump (a JSON snapshot for a .json "
+             "PATH) of replay counters, ingest histograms and per-scheme "
+             "alert totals",
     )
     replay.add_argument(
         "--telemetry-out", default=None, metavar="PATH",
@@ -521,7 +498,8 @@ def _campaign_grid(args):
 
     if getattr(args, "variant_overrides", None):
         overrides = dict(
-            _parse_variant_override(item) for item in args.variant_overrides
+            _parse_key_value(item, "--variant")
+            for item in args.variant_overrides
         )
         unknown = set(overrides) - set(kind.variant_keys)
         if unknown:
@@ -539,26 +517,133 @@ def _campaign_grid(args):
     return tuple(schemes), tuple(variants), scenario
 
 
-def _parse_variant_override(item: str):
-    """``key=value`` with int/float coercion (``shards=2`` -> 2)."""
+def _parse_key_value(item: str, flag: str):
+    """``key=value`` with int, float and true/false coercion
+    (``shards=2`` -> 2, ``with_monitor=false`` -> False)."""
     key, sep, raw = item.partition("=")
     if not sep or not key:
-        raise SystemExit(f"--variant expects KEY=VALUE, got {item!r}")
+        raise SystemExit(f"{flag} expects KEY=VALUE, got {item!r}")
     for cast in (int, float):
         try:
             return key, cast(raw)
         except ValueError:
             continue
+    if raw.lower() in ("true", "false"):
+        return key, raw.lower() == "true"
     return key, raw
 
 
-def _cmd_campaign(args, out) -> int:
-    from repro.campaign import (
-        CampaignSpec,
-        ResultCache,
-        run_campaign,
-        to_artifact,
+@contextmanager
+def _observe(args, out) -> Iterator[None]:
+    """The one observer path for ``run``, ``campaign`` and ``replay``.
+
+    Wraps the block in whichever of the tracer, the sampling profiler and
+    a telemetry session the ``--*-out`` options ask for; afterwards
+    writes each artifact and its ``# ...`` summary lines.
+    """
+    import json
+    from contextlib import ExitStack
+    from pathlib import Path
+
+    from repro.obs import (
+        REGISTRY,
+        TRACER,
+        SamplingProfiler,
+        live,
+        to_chrome_trace,
+        to_jsonl,
+        to_prometheus,
     )
+    from repro.perf import PERF
+
+    trace_out = getattr(args, "trace_out", None)
+    metrics_out = getattr(args, "metrics_out", None)
+    profile_out = getattr(args, "profile_out", None)
+    telemetry_out = getattr(args, "telemetry_out", None)
+    cadence = getattr(args, "telemetry_cadence", 2000)
+    with ExitStack() as stack:
+        if trace_out:
+            TRACER.reset()
+            TRACER.enable()
+            stack.callback(TRACER.disable)
+            capture_drops_before = PERF.trace_drops
+        if telemetry_out:
+            stack.enter_context(live.session(
+                live.TelemetryRecorder(cadence_events=cadence, out=telemetry_out)
+            ))
+        if profile_out:
+            profiler = stack.enter_context(SamplingProfiler())
+        yield
+
+    lines = []
+    if trace_out:
+        events = list(TRACER.events)
+        provenance = TRACER.provenance
+        alerts = [e for e in events if e.name == "scheme.alert"]
+        resolved = 0
+        for alert in alerts:
+            fid = alert.attrs.get("frame")
+            origin = provenance.origin_of(fid) if fid is not None else None
+            if origin is not None and origin.startswith("attack:"):
+                resolved += 1
+        if trace_out.endswith(".jsonl"):
+            text = to_jsonl(events)
+        else:
+            text = json.dumps(to_chrome_trace(events, provenance.frames))
+        Path(trace_out).write_text(text)
+        lines += [
+            f"# written to {trace_out}",
+            f"# trace: {len(events)} events ({TRACER.dropped} span-ring "
+            f"dropped), {len(provenance)} frames tracked, "
+            f"{PERF.trace_drops - capture_drops_before} frame-capture dropped "
+            f"(PERF.trace_drops={PERF.trace_drops})",
+            f"# alerts: {len(alerts)} raised, {resolved} with provenance "
+            f"resolving to an attack injection",
+        ]
+    if profile_out:
+        Path(profile_out).write_text(profiler.collapsed())
+        attribution = ", ".join(
+            f"{name} {share:.1%}"
+            for name, share in profiler.attribution().items()
+        )
+        lines += [
+            f"# written to {profile_out}",
+            f"# profile: {profiler.sample_count} samples at "
+            f"{profiler.interval * 1000:.1f}ms interval",
+            f"# subsystems: {attribution or 'none'}",
+            f"# attributed: {profiler.attributed_fraction():.1%} of samples "
+            f"to named subsystems",
+        ]
+    if telemetry_out:
+        # Count lines in the file: with campaign --jobs > 1, fork-workers
+        # append their own series to the same path.
+        path = Path(telemetry_out)
+        snapshots = (
+            sum(1 for line in path.read_text().splitlines() if line.strip())
+            if path.exists()
+            else 0
+        )
+        lines.append(
+            f"# telemetry: {snapshots} snapshots in {telemetry_out} "
+            f"(cadence {cadence} events)"
+        )
+    if metrics_out:
+        snapshot = REGISTRY.snapshot()
+        if metrics_out.endswith(".json"):
+            text = json.dumps(snapshot, indent=2, sort_keys=True)
+        else:
+            text = to_prometheus(snapshot)
+        Path(metrics_out).write_text(text)
+        lines += [
+            f"# written to {metrics_out}",
+            f"# metrics: {len(snapshot['metrics'])} families, "
+            f"{len(snapshot['collectors'])} collector blocks",
+        ]
+    out.write("".join(line + "\n" for line in lines))
+
+
+def _cmd_campaign(args, out) -> int:
+    from repro.campaign import CampaignSpec, ResultCache, run_campaign
 
     schemes, variants, scenario = _campaign_grid(args)
     spec = CampaignSpec(
@@ -582,16 +667,7 @@ def _cmd_campaign(args, out) -> int:
 
         heartbeat_dir = str(Path(args.cache_dir) / "heartbeats")
 
-    telemetry = None
-    previous_recorder = None
-    if args.telemetry_out:
-        from repro.obs import live
-
-        telemetry = live.TelemetryRecorder(
-            cadence_events=args.telemetry_cadence, out=args.telemetry_out
-        )
-        previous_recorder = live.install(telemetry)
-    try:
+    with _observe(args, out):
         campaign = run_campaign(
             spec,
             jobs=args.jobs,
@@ -601,12 +677,17 @@ def _cmd_campaign(args, out) -> int:
             heartbeat_dir=heartbeat_dir,
             stall_after=args.stall_after,
         )
-    finally:
-        if telemetry is not None:
-            from repro.obs import live
+        if args.metrics_out:
+            from repro.campaign.aggregate import publish_metrics
 
-            live.install(previous_recorder)
-            telemetry.close()
+            publish_metrics(campaign)
+        _report_campaign(campaign, args, out)
+    return 1 if campaign.failures else 0
+
+
+def _report_campaign(campaign, args, out) -> None:
+    from repro.campaign import to_artifact
+
     artifact = to_artifact(campaign)
     out.write((artifact.csv if args.csv else artifact.rendered) + "\n")
     out.write(
@@ -628,21 +709,6 @@ def _cmd_campaign(args, out) -> int:
     else:
         scope = "coordinator only"
     out.write(f"# perf ({scope}): {PERF.summary()}\n")
-    if telemetry is not None:
-        from pathlib import Path
-
-        # Count lines in the file, not telemetry.written: with --jobs > 1
-        # fork-workers wrote their own interleaved series to the same path.
-        path = Path(args.telemetry_out)
-        snapshots = (
-            sum(1 for line in path.read_text().splitlines() if line.strip())
-            if path.exists()
-            else 0
-        )
-        out.write(
-            f"# telemetry: {snapshots} snapshots in {args.telemetry_out} "
-            f"(cadence {args.telemetry_cadence} events)\n"
-        )
     if campaign.heartbeat_dir is not None:
         from collections import Counter as _Counter
 
@@ -655,157 +721,52 @@ def _cmd_campaign(args, out) -> int:
             f"{campaign.worker_stalls} stall episodes "
             f"(watchdog_stalls_total), heartbeats in {campaign.heartbeat_dir}\n"
         )
-    if args.metrics_out:
-        from pathlib import Path
-
-        from repro.campaign.aggregate import publish_metrics
-        from repro.obs import REGISTRY, to_prometheus
-
-        published = publish_metrics(campaign)
-        Path(args.metrics_out).write_text(to_prometheus(REGISTRY.snapshot()))
-        out.write(
-            f"# metrics: {published} cell observations written to "
-            f"{args.metrics_out}\n"
-        )
     for failure in campaign.failures:
         out.write(
             f"# FAILED {failure.task.scheme_label} "
             f"{failure.task.cell[1]} trial={failure.task.trial} "
             f"after {failure.attempts} attempt(s): {failure.error}\n"
         )
-    return 1 if campaign.failures else 0
 
 
-def _obs_scenario(args) -> ScenarioConfig:
-    return ScenarioConfig(
-        seed=args.seed,
-        n_hosts=args.hosts,
-        attack_duration=args.duration,
-        warmup=3.0,
-        cooldown=2.0,
-        fault_spec=getattr(args, "faults", None),
-    )
+def _route_settings(kind: "api.Kind", items) -> tuple:
+    """Split ``--set KEY=VALUE`` items into the kind's parameters and
+    ``ScenarioConfig`` overrides; a key in both goes to the kind."""
+    from dataclasses import fields
 
-
-def _write_artifact(args, out, text: str, summary_lines: list[str]) -> None:
-    """Artifact to --out (or stdout); summary comments never pollute the
-    artifact when it goes to a file."""
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(text)
-        out.write(f"# written to {args.out}\n")
-        for line in summary_lines:
-            out.write(line + "\n")
-    else:
-        out.write(text if text.endswith("\n") else text + "\n")
-
-
-def _cmd_trace(args, out) -> int:
-    import json
-
-    from repro.obs import TRACER, to_chrome_trace, to_jsonl
-    from repro.perf import PERF
-
-    TRACER.reset()
-    TRACER.enable()
-    capture_drops_before = PERF.trace_drops
-    try:
-        result = api.run(
-            "effectiveness",
-            _obs_scenario(args),
-            scheme=args.scheme,
-            technique=args.technique,
-        )
-    finally:
-        TRACER.disable()
-    capture_drops = PERF.trace_drops - capture_drops_before
-
-    events = list(TRACER.events)
-    provenance = TRACER.provenance
-    alerts = [e for e in events if e.name == "scheme.alert"]
-    resolved = 0
-    for alert in alerts:
-        fid = alert.attrs.get("frame")
-        origin = provenance.origin_of(fid) if fid is not None else None
-        if origin is not None and origin.startswith("attack:"):
-            resolved += 1
-
-    if args.format == "chrome":
-        text = json.dumps(to_chrome_trace(events, provenance.frames))
-    else:
-        text = to_jsonl(events)
-    summary = [
-        f"# trace: {len(events)} events ({TRACER.dropped} span-ring dropped), "
-        f"{len(provenance)} frames tracked, "
-        f"{capture_drops} frame-capture dropped "
-        f"(PERF.trace_drops={PERF.trace_drops})",
-        f"# alerts: {len(alerts)} raised, {resolved} with provenance "
-        f"resolving to an attack injection",
-        f"# outcome: scheme={args.scheme} technique={args.technique} "
-        f"{result.outcome}",
-    ]
-    _write_artifact(args, out, text, summary)
-    return 0
-
-
-def _cmd_metrics(args, out) -> int:
-    import json
-
-    from repro.obs import REGISTRY, to_prometheus
-
-    api.run(
-        "effectiveness",
-        _obs_scenario(args),
-        scheme=args.scheme,
-        technique=args.technique,
-    )
-    snapshot = REGISTRY.snapshot()
-    if args.format == "prometheus":
-        text = to_prometheus(snapshot)
-    else:
-        text = json.dumps(snapshot, indent=2, sort_keys=True)
-    _write_artifact(
-        args, out, text,
-        [f"# metrics: {len(snapshot['metrics'])} families, "
-         f"{len(snapshot['collectors'])} collector blocks"],
-    )
-    return 0
-
-
-def _cmd_profile(args, out) -> int:
-    from repro.obs.profiler import SamplingProfiler
-
-    profiler = SamplingProfiler(interval=args.interval)
-    profiler.start()
-    try:
-        for _ in range(max(1, args.repeat)):
-            result = api.run(
-                "effectiveness",
-                _obs_scenario(args),
-                scheme=args.scheme,
-                technique=args.technique,
+    config_fields = sorted(f.name for f in fields(ScenarioConfig))
+    params, overrides = {}, {}
+    for item in items:
+        key, value = _parse_key_value(item, "--set")
+        if key in kind.params:
+            params[key] = value
+        elif key in config_fields:
+            overrides[key] = value
+        else:
+            raise SystemExit(
+                f"--set {key}: not a parameter of {kind.name!r} "
+                f"{sorted(kind.params)} nor a ScenarioConfig field "
+                f"{config_fields}"
             )
-    finally:
-        profiler.stop()
+    return params, overrides
 
-    attribution = ", ".join(
-        f"{name} {share:.1%}" for name, share in profiler.attribution().items()
-    )
-    summary = [
-        f"# profile: {profiler.sample_count} samples at "
-        f"{args.interval * 1000:.1f}ms interval over "
-        f"{max(1, args.repeat)} run(s)",
-        f"# subsystems: {attribution or 'none'}",
-        f"# attributed: {profiler.attributed_fraction():.1%} of samples "
-        f"to named subsystems",
-        f"# outcome: scheme={args.scheme} technique={args.technique} "
-        f"{result.outcome}",
-    ]
-    _write_artifact(args, out, profiler.collapsed(), summary)
-    if not args.out:
-        for line in summary:
-            out.write(line + "\n")
+
+def _cmd_run(args, out) -> int:
+    import json
+
+    from repro.errors import ExperimentError, ReplayError, SchemeError
+
+    params, overrides = _route_settings(api.KINDS[args.kind], args.settings or ())
+    try:
+        config = ScenarioConfig.from_dict(overrides) if overrides else None
+        with _observe(args, out):
+            result = api.run(
+                args.kind, config, scheme=args.scheme, faults=args.faults,
+                **params,
+            )
+            out.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
+    except (ExperimentError, ReplayError, SchemeError) as exc:
+        raise SystemExit(f"run {args.kind}: {exc}") from None
     return 0
 
 
@@ -998,52 +959,30 @@ def _cmd_replay(args, out) -> int:
             tail = f"rate={args.rate}" + (f",{tail}" if tail else "")
         spec = f"synthetic:{tail}"
 
-    telemetry = None
-    if args.telemetry_out:
-        from repro.obs import live
-
-        telemetry = live.TelemetryRecorder(
-            cadence_events=args.telemetry_cadence, out=args.telemetry_out
-        )
     try:
-        result = api.run(
-            "replay",
-            ScenarioConfig(seed=args.seed),
-            scheme=args.scheme,
-            source=spec,
-            window=args.window,
-            drain=args.drain,
-            telemetry=telemetry,
-        )
+        with _observe(args, out):
+            result = api.run(
+                "replay",
+                ScenarioConfig(seed=args.seed),
+                scheme=args.scheme,
+                source=spec,
+                window=args.window,
+                drain=args.drain,
+            )
+            label = result.scheme if result.scheme is not None else "none"
+            out.write(
+                f"replay: {result.frames} frames ({result.bytes} bytes) "
+                f"from {result.source}\n"
+                f"  scheme={label} alerts={result.alerts} "
+                f"delivered={result.delivered} mode={result.mode} "
+                f"window={result.window} "
+                f"peak_in_flight={result.peak_in_flight}\n"
+                f"  {result.frames_per_sec:,.0f} frames/sec "
+                f"(wall {result.wall_seconds:.3f}s, "
+                f"trace span {result.sim_seconds:.3f}s)\n"
+            )
     except (ReplayError, SchemeError) as exc:
         raise SystemExit(f"replay: {exc}") from None
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-
-    label = result.scheme if result.scheme is not None else "none"
-    out.write(
-        f"replay: {result.frames} frames ({result.bytes} bytes) "
-        f"from {result.source}\n"
-        f"  scheme={label} alerts={result.alerts} "
-        f"delivered={result.delivered} mode={result.mode} "
-        f"window={result.window} peak_in_flight={result.peak_in_flight}\n"
-        f"  {result.frames_per_sec:,.0f} frames/sec "
-        f"(wall {result.wall_seconds:.3f}s, "
-        f"trace span {result.sim_seconds:.3f}s)\n"
-    )
-    if telemetry is not None:
-        out.write(
-            f"# telemetry: {telemetry.written} snapshots in "
-            f"{args.telemetry_out} (cadence {args.telemetry_cadence} events)\n"
-        )
-    if args.metrics_out:
-        from pathlib import Path
-
-        from repro.obs import REGISTRY, to_prometheus
-
-        Path(args.metrics_out).write_text(to_prometheus(REGISTRY.snapshot()))
-        out.write(f"# metrics written to {args.metrics_out}\n")
     return 0
 
 
@@ -1157,12 +1096,8 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return _cmd_demo(args, out)
     if args.command == "campaign":
         return _cmd_campaign(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "metrics":
-        return _cmd_metrics(args, out)
-    if args.command == "profile":
-        return _cmd_profile(args, out)
+    if args.command == "run":
+        return _cmd_run(args, out)
     if args.command == "top":
         return _cmd_top(args, out)
     if args.command == "bench":

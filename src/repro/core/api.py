@@ -1,10 +1,7 @@
 """The unified experiment front door: ``run(kind, config, ...)``.
 
-The seven historical ``run_effectiveness``/``run_overhead``/... entry
-points shared most of their shape (build a scenario, install a scheme,
-measure, return a frozen result) but each grew its own signature, which
-made sweeping a new axis — like the ``repro.faults`` impairment specs —
-an eight-file change.  :func:`run` collapses them behind one call:
+Every measurement has the same shape — build a scenario, install a
+scheme, measure, return a frozen result — so one call runs them all:
 
     from repro.core import api
     result = api.run("effectiveness", scheme="dai", technique="reply",
@@ -18,8 +15,8 @@ message.  ``faults`` (a compact spec string or a
 :class:`~repro.faults.FaultSpec`) is folded into the scenario config's
 ``fault_spec`` field, serialized verbatim.
 
-The legacy ``run_*`` functions survive as deprecation shims that warn
-once per process and delegate here.
+The command line reaches the same call as ``repro run KIND``, which also
+wires the tracer, profiler, telemetry and metrics exports around it.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from repro.replay import engine as _replay
 from repro.core.experiment import ScenarioConfig, SerializableResult
 from repro.errors import ExperimentError, FaultError
 from repro.faults import FaultSpec, parse_fault_spec
-from repro.obs import live as _live
-from repro.obs.live import TelemetryRecorder
 
 __all__ = ["Kind", "KINDS", "run", "normalize_kind"]
 
@@ -185,7 +180,6 @@ def run(
     scheme: Optional[str] = None,
     faults: Union[str, FaultSpec, None] = None,
     scheme_kwargs: Optional[Mapping[str, object]] = None,
-    telemetry: Optional["TelemetryRecorder"] = None,
     **params,
 ) -> SerializableResult:
     """Run one experiment ``kind`` and return its frozen result.
@@ -204,12 +198,9 @@ def run(
         Compact impairment spec string or :class:`~repro.faults.FaultSpec`,
         folded into ``config.fault_spec`` (serialized verbatim).
     scheme_kwargs:
-        Keyword arguments forwarded to the scheme factory.
-    telemetry:
-        Optional :class:`~repro.obs.live.TelemetryRecorder` installed as
-        the process default for the duration of this call, so the
-        simulators the kind builds internally attach it and stream a
-        live time series of the run.
+        Keyword arguments forwarded to the scheme factory.  To stream a
+        live time series of the run, wrap the call in
+        :func:`repro.obs.live.session`.
     **params:
         Kind-specific parameters, validated against ``KINDS[kind].params``.
     """
@@ -242,7 +233,4 @@ def run(
             f"{spec.name}: scheme_kwargs collide with parameters: {sorted(overlap)}"
         )
     config = _fold_faults(config, faults)
-    if telemetry is None:
-        return spec.runner(scheme, config=config, **params, **extra)
-    with _live.session(telemetry):
-        return spec.runner(scheme, config=config, **params, **extra)
+    return spec.runner(scheme, config=config, **params, **extra)

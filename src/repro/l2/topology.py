@@ -85,6 +85,9 @@ class Lan:
     the upper half of the subnet.
     """
 
+    #: Host index (``network.host(i)``) of the first statically addressed host.
+    FIRST_HOST_INDEX = 10
+
     def __init__(
         self,
         sim: Simulator,
@@ -116,7 +119,7 @@ class Lan:
         self.trunk_ports: set[int] = set()
         #: host name -> (switch name, port index on that switch).
         self.attachment_of: Dict[str, tuple[str, int]] = {}
-        self._next_host_index = 10
+        self._next_host_index = self.FIRST_HOST_INDEX
         self._macs_used: set[MacAddress] = set()
         self._mac_rng = sim.rng_stream("lan/mac-alloc")
         self.hosts: Dict[str, Host] = {}

@@ -15,7 +15,7 @@ One import surface for the three observability primitives:
 
 Exporters (:func:`to_chrome_trace`, :func:`to_jsonl`,
 :func:`to_prometheus` and their parsers) turn those into artifacts the
-``repro trace`` / ``repro metrics`` subcommands write out.
+``--trace-out`` / ``--metrics-out`` options of ``repro run`` write out.
 
 See ``docs/observability.md`` for the span taxonomy and overhead policy.
 """
@@ -78,7 +78,7 @@ __all__ = [
 REGISTRY.register_collector("perf", PERF.snapshot, PERF.absorb)
 
 #: The PR 7 batch-plane counters, re-exported as one labeled counter
-#: family so ``repro metrics`` emits them as
+#: family so ``repro run --metrics-out`` emits them as
 #: ``batch_plane_ops_total{op="cam_sweeps"}`` instead of burying them in
 #: the flat perf collector block.
 _BATCH_PLANE_OPS = (

@@ -30,7 +30,8 @@ package:
 
 Aggregation is a :class:`collections.Counter` of collapsed stacks, which
 exports directly to the Brendan-Gregg folded format (``frame;frame N``)
-that ``flamegraph.pl`` and speedscope consume — via ``repro profile``.
+that ``flamegraph.pl`` and speedscope consume — via
+``repro run KIND --profile-out PATH``.
 """
 
 from __future__ import annotations

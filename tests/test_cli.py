@@ -161,3 +161,91 @@ class TestBenchCommand:
         )
         assert code == 1
         assert "REGRESSION decode_frame_eager" in out.getvalue()
+
+
+class TestRunCommand:
+    """``repro run KIND``: --set routing, clean errors, one observer path."""
+
+    def test_prints_the_result_as_json(self):
+        import json
+
+        text = run_cli("run", "effectiveness", "--scheme", "dai",
+                       "--set", "n_hosts=3", "--set", "attack_duration=5")
+        result = json.loads(text.splitlines()[0])
+        assert result["kind"] == "EffectivenessResult"
+        assert result["scheme"] == "dai" and result["prevented"]
+
+    def test_set_routes_seed_to_the_kind_or_the_config(self):
+        from repro.cli import _route_settings
+        from repro.core.api import KINDS
+
+        assert _route_settings(KINDS["overhead"], ["seed=3"]) == ({"seed": 3}, {})
+        assert _route_settings(KINDS["effectiveness"], ["seed=3"]) == ({}, {"seed": 3})
+
+    def test_set_parses_bools(self):
+        from repro.cli import _route_settings
+        from repro.core.api import KINDS
+
+        params, overrides = _route_settings(
+            KINDS["effectiveness"], ["with_monitor=false", "technique=gratuitous"]
+        )
+        assert params == {"technique": "gratuitous"}
+        assert overrides == {"with_monitor": False}
+
+    def test_unknown_key_lists_both_allowed_sets(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "overhead", "--set", "bogus=1"], out=io.StringIO())
+        message = str(excinfo.value)
+        assert "bogus" in message
+        assert "['n_hosts', 'resolutions_per_host', 'seed']" in message
+        assert "'attack_duration'" in message and "'with_monitor'" in message
+
+    def test_faults_twice_is_a_clean_error(self):
+        with pytest.raises(SystemExit, match="faults given both"):
+            main(["run", "effectiveness", "--faults", "loss=0.1",
+                  "--set", "fault_spec=loss=0.2"], out=io.StringIO())
+
+    def test_bad_testbed_is_a_clean_error(self):
+        with pytest.raises(SystemExit, match="at most 244"):
+            main(["run", "effectiveness", "--set", "n_hosts=300"],
+                 out=io.StringIO())
+
+    def test_profiles_campus_churn(self, tmp_path):
+        import re
+
+        folded = tmp_path / "churn.folded"
+        text = run_cli("run", "campus-churn", "--profile-out", str(folded))
+        samples = sum(
+            int(line.rsplit(" ", 1)[1]) for line in folded.read_text().splitlines()
+        )
+        assert samples >= 10
+        attributed = re.search(r"# attributed: ([\d.]+)% of samples", text)
+        assert attributed and float(attributed.group(1)) >= 90.0
+
+    def test_replay_with_every_observer(self, tmp_path):
+        import re
+
+        from repro.obs.export import parse_jsonl, parse_prometheus
+        from repro.obs.live import read_series
+        from repro.obs.trace import TRACER
+
+        paths = {
+            "--trace-out": tmp_path / "trace.jsonl",
+            "--metrics-out": tmp_path / "metrics.prom",
+            "--profile-out": tmp_path / "replay.folded",
+            "--telemetry-out": tmp_path / "telemetry.jsonl",
+        }
+        argv = ["run", "replay", "--set", "source=synthetic:frames=20k",
+                "--scheme", "arpwatch"]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        text = run_cli(*argv)
+        assert not TRACER.enabled
+        assert parse_jsonl(paths["--trace-out"].read_text())
+        metrics = parse_prometheus(paths["--metrics-out"].read_text())
+        assert sum(metrics["replay_frames_total"].values()) == 20_000
+        for line in paths["--profile-out"].read_text().splitlines():
+            assert re.fullmatch(r"\S.*? \d+", line), line
+        assert read_series(paths["--telemetry-out"].read_text())
+        for prefix in ("# trace:", "# profile:", "# telemetry:", "# metrics:"):
+            assert prefix in text

@@ -168,17 +168,23 @@ class TestDeterminism:
 
 
 class TestObsCli:
+    ARGS = ("run", "effectiveness", "--scheme", "dai", "--set", "seed=7",
+            "--set", "n_hosts=3", "--set", "attack_duration=6",
+            "--set", "warmup=3", "--set", "cooldown=2")
+
     def run_cli(self, *argv: str) -> str:
         out = io.StringIO()
-        assert main(list(argv), out=out) == 0
+        assert main([*self.ARGS, *argv], out=out) == 0
         return out.getvalue()
 
-    def test_trace_chrome_to_stdout(self):
-        text = self.run_cli(
-            "trace", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6",
-        )
-        doc = json.loads(text)  # stdout is the bare artifact, pipe-clean
+    def test_trace_chrome_to_stdout(self, tmp_path):
+        out = tmp_path / "trace.json"
+        text = self.run_cli("--trace-out", str(out))
+        # stdout carries the result and the trace summary; the artifact
+        # goes to its own file.
+        assert json.loads(text.splitlines()[0])["scheme"] == "dai"
+        assert "# trace:" in text
+        doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         assert doc["frameProvenance"]
         # Tracing is switched back off after the command.
@@ -186,27 +192,20 @@ class TestObsCli:
 
     def test_trace_jsonl_file(self, tmp_path):
         out = tmp_path / "trace.jsonl"
-        text = self.run_cli(
-            "trace", "--format", "jsonl", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6", "--out", str(out),
-        )
+        text = self.run_cli("--trace-out", str(out))
         assert "# written to" in text
         events = parse_jsonl(out.read_text())
         assert any(e.name == "scheme.alert" for e in events)
 
-    def test_metrics_prometheus(self):
-        text = self.run_cli(
-            "metrics", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6",
-        )
-        parsed = parse_prometheus(text)
+    def test_metrics_prometheus(self, tmp_path):
+        out = tmp_path / "metrics.prom"
+        self.run_cli("--metrics-out", str(out))
+        parsed = parse_prometheus(out.read_text())
         assert any(n.startswith("scheme_alerts_total") for n in parsed)
         assert any(n.startswith("repro_perf_") for n in parsed)
 
-    def test_metrics_json(self):
-        text = self.run_cli(
-            "metrics", "--format", "json", "--scheme", "dai", "--seed", "7",
-            "--hosts", "3", "--duration", "6",
-        )
-        snap = json.loads(text)
+    def test_metrics_json(self, tmp_path):
+        out = tmp_path / "metrics.json"
+        self.run_cli("--metrics-out", str(out))
+        snap = json.loads(out.read_text())
         assert "metrics" in snap and "collectors" in snap

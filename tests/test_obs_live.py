@@ -257,8 +257,8 @@ class TestInstallAndSession:
         rec = TelemetryRecorder(cadence_events=50, include_metrics=False)
         config = ScenarioConfig(seed=7, n_hosts=3, attack_duration=6.0,
                                 warmup=2.0, cooldown=1.0)
-        run("effectiveness", config, scheme="dai", technique="reply",
-            telemetry=rec)
+        with live.session(rec):
+            run("effectiveness", config, scheme="dai", technique="reply")
         assert rec.seq >= 2  # at least attach + run-end
         reasons = {s["reason"] for s in rec.snapshots}
         assert "attach" in reasons and "run-end" in reasons

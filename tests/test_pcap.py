@@ -14,8 +14,6 @@ from repro.analysis.pcap import (
     PCAP_MAGIC,
     PcapWriter,
     iter_pcap,
-    read_pcap,
-    write_pcap,
 )
 from repro.attacks.mitm import MitmAttack
 from repro.errors import CodecError, PcapError
@@ -32,20 +30,32 @@ def make_records():
     ]
 
 
+def write_records(records, path, snaplen=65535):
+    """Stream ``records`` to ``path`` in call order; returns the count."""
+    with PcapWriter(path, snaplen=snaplen) as writer:
+        for record in records:
+            writer.append(record)
+        return writer.count
+
+
+def read_records(path):
+    return list(iter_pcap(path))
+
+
 class TestRoundTrip:
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "capture.pcap"
-        count = write_pcap(make_records(), path)
+        count = write_records(
+            sorted(make_records(), key=lambda r: r.time), path
+        )
         assert count == 3
-        back = read_pcap(path)
+        back = read_records(path)
         assert len(back) == 3
-        # sorted by time on write
-        assert [round(r.time, 6) for r in back] == [0.25, 1.5, 2.000001]
         assert back[0].frame == b"\xbb" * 80
 
     def test_global_header_fields(self, tmp_path):
         path = tmp_path / "capture.pcap"
-        write_pcap(make_records(), path)
+        write_records(make_records(), path)
         raw = path.read_bytes()
         magic, major, minor, _, _, snaplen, linktype = struct.unpack(
             "<IHHiIII", raw[:24]
@@ -56,21 +66,21 @@ class TestRoundTrip:
 
     def test_snaplen_truncation(self, tmp_path):
         path = tmp_path / "capture.pcap"
-        write_pcap(make_records(), path, snaplen=32)
-        back = read_pcap(path)
+        write_records(make_records(), path, snaplen=32)
+        back = read_records(path)
         assert all(len(r.frame) == 32 for r in back)
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.pcap"
-        assert write_pcap([], path) == 0
-        assert read_pcap(path) == []
+        assert write_records([], path) == 0
+        assert read_records(path) == []
 
     def test_big_endian_read(self, tmp_path):
         path = tmp_path / "be.pcap"
         header = struct.pack(">IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
         body = struct.pack(">IIII", 3, 500000, 4, 4) + b"abcd"
         path.write_bytes(header + body)
-        back = read_pcap(path)
+        back = read_records(path)
         assert len(back) == 1
         assert back[0].time == pytest.approx(3.5)
 
@@ -113,26 +123,6 @@ class TestStreamingPrimitives:
         (record,) = iter_pcap(path)
         assert record.time == pytest.approx(2.0)
 
-    def test_legacy_shims_warn_once_and_delegate(self, tmp_path):
-        import repro.analysis.pcap as pcap_mod
-
-        path = tmp_path / "legacy.pcap"
-        pcap_mod._LEGACY_WARNED.clear()
-        try:
-            with pytest.warns(DeprecationWarning, match="PcapWriter"):
-                write_pcap(make_records(), path)
-            with pytest.warns(DeprecationWarning, match="iter_pcap"):
-                read_pcap(path)
-            # Second calls are silent (warn once per process).
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")
-                write_pcap(make_records(), path)
-                assert len(read_pcap(path)) == 3
-        finally:
-            pcap_mod._LEGACY_WARNED.clear()
-
 
 class TestHypothesisRoundTrip:
     @settings(max_examples=50, deadline=None)
@@ -167,26 +157,26 @@ class TestErrors:
         path = tmp_path / "junk.pcap"
         path.write_bytes(b"\x00" * 40)
         with pytest.raises(CodecError):
-            read_pcap(path)
+            read_records(path)
 
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "short.pcap"
         path.write_bytes(b"\xd4\xc3\xb2\xa1")
         with pytest.raises(CodecError):
-            read_pcap(path)
+            read_records(path)
 
     def test_non_ethernet_rejected(self, tmp_path):
         path = tmp_path / "wifi.pcap"
         path.write_bytes(struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 105))
         with pytest.raises(CodecError):
-            read_pcap(path)
+            read_records(path)
 
     def test_truncated_record_rejected(self, tmp_path):
         path = tmp_path / "trunc.pcap"
         header = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
         path.write_bytes(header + struct.pack("<IIII", 0, 0, 100, 100) + b"xy")
         with pytest.raises(CodecError):
-            read_pcap(path)
+            read_records(path)
 
     def test_truncated_body_names_byte_offset(self, tmp_path):
         """A capture ending mid-frame is an error naming where — never a
@@ -229,9 +219,9 @@ class TestEndToEnd:
         mitm.stop()
 
         path = tmp_path / "incident.pcap"
-        count = write_pcap(monitor.recorder.records, path)
+        count = write_records(monitor.recorder.records, path)
         assert count == len(monitor.recorder.records)
-        replayed = read_pcap(path)
+        replayed = read_records(path)
         summary = OfflineArpAnalyzer(
             known_bindings=lan.true_bindings()
         ).analyze(replayed)

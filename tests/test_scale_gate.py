@@ -119,10 +119,12 @@ class TestVariantOverrideFlag:
             _campaign_grid(args)
 
     def test_value_coercion(self):
-        from repro.cli import _parse_variant_override
+        from repro.cli import _parse_key_value
 
-        assert _parse_variant_override("shards=2") == ("shards", 2)
-        assert _parse_variant_override("duration=1.5") == ("duration", 1.5)
-        assert _parse_variant_override("mode=fast") == ("mode", "fast")
-        with pytest.raises(SystemExit):
-            _parse_variant_override("no-equals-sign")
+        assert _parse_key_value("shards=2", "--variant") == ("shards", 2)
+        assert _parse_key_value("duration=1.5", "--variant") == ("duration", 1.5)
+        assert _parse_key_value("mode=fast", "--variant") == ("mode", "fast")
+        assert _parse_key_value("greedy=false", "--variant") == ("greedy", False)
+        assert _parse_key_value("greedy=True", "--variant") == ("greedy", True)
+        with pytest.raises(SystemExit, match="--variant expects KEY=VALUE"):
+            _parse_key_value("no-equals-sign", "--variant")
