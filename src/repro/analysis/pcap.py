@@ -5,8 +5,12 @@ timestamps, LINKTYPE_ETHERNET), so a simulated capture opens directly in
 Wireshark/tcpdump — and real captures of Ethernet traffic can be pulled
 back in and fed to the offline analyzer or the replay engine.
 
-The primitives are streaming: :func:`iter_pcap` is a generator over a
-fixed-size read buffer (a multi-GB capture is never materialized), and
+The primitives are streaming.  :func:`iter_pcap_frames` reads the file
+in fixed :data:`READ_BUFFER` blocks and parses every record in a block
+before reading the next, so its memory is one block plus one record
+(a record cut by a block boundary is carried over; no record may claim
+more than :data:`MAX_SNAPLEN` bytes) however large the capture.
+:func:`iter_pcap` is a :class:`TraceRecord` view over it, and
 :class:`PcapWriter` is a context manager with incremental ``append()``.
 """
 
@@ -14,15 +18,17 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator, Union
+from typing import BinaryIO, Iterator, Tuple, Union
 
 from repro.errors import PcapError
 from repro.sim.trace import Direction, TraceRecord
 
 __all__ = [
+    "MAX_SNAPLEN",
     "PCAP_MAGIC",
     "PcapWriter",
     "iter_pcap",
+    "iter_pcap_frames",
 ]
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -30,9 +36,17 @@ _LINKTYPE_ETHERNET = 1
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 
-#: Fixed read-buffer size for :func:`iter_pcap` (bytes).  The reader never
-#: holds more than roughly this much file data plus one frame in memory.
+#: Block size for :func:`iter_pcap_frames` (bytes).  The reader never
+#: holds more than one block plus one record in memory.
 READ_BUFFER = 1 << 16
+
+#: Largest captured length a record may claim: libpcap's
+#: ``MAXIMUM_SNAPLEN``.  A longer one means a corrupt header, and the
+#: reader rejects it before buffering the body.
+MAX_SNAPLEN = 262144
+
+#: Classic pcap stores timestamp seconds as an unsigned 32-bit number.
+_MAX_SECONDS = 0xFFFFFFFF
 
 
 class PcapWriter:
@@ -79,12 +93,22 @@ class PcapWriter:
         self.append_frame(record.time, record.frame)
 
     def append_frame(self, timestamp: float, frame: bytes) -> None:
-        """Write one raw ``(timestamp, frame)`` pair (replay-source shape)."""
+        """Write one raw ``(timestamp, frame)`` pair (replay-source shape).
+
+        A timestamp classic pcap cannot hold, one that does not round to
+        0 to 4294967295.999999 seconds, raises
+        :class:`~repro.errors.PcapError` and writes nothing.
+        """
         seconds = int(timestamp)
         micros = int(round((timestamp - seconds) * 1_000_000))
         if micros >= 1_000_000:  # carry from rounding
             seconds += 1
             micros -= 1_000_000
+        if micros < 0 or not 0 <= seconds <= _MAX_SECONDS:
+            raise PcapError(
+                f"pcap: timestamp {timestamp!r} is outside classic pcap's "
+                f"range of 0 to {_MAX_SECONDS}.999999 seconds"
+            )
         captured = frame[: self.snaplen]
         self._fh.write(_RECORD_HEADER.pack(seconds, micros, len(captured), len(frame)))
         self._fh.write(captured)
@@ -101,11 +125,97 @@ class PcapWriter:
         self.close()
 
 
-def _open_reader(source: Union[str, Path, BinaryIO], buffer_size: int) -> tuple:
-    """Return ``(fh, owns)`` for a path or already-open binary stream."""
+def _open_reader(source: Union[str, Path, BinaryIO]) -> tuple:
+    """Return ``(fh, owns)`` for a path or already-open binary stream.
+
+    Owned files are opened unbuffered: :func:`iter_pcap_frames` reads
+    whole blocks itself, so a second buffer would only copy them.
+    """
     if hasattr(source, "read"):
         return source, False
-    return Path(source).open("rb", buffering=buffer_size), True
+    return Path(source).open("rb", buffering=0), True
+
+
+def iter_pcap_frames(
+    source: Union[str, Path, BinaryIO],
+    buffer_size: int = READ_BUFFER,
+) -> Iterator[Tuple[float, bytes]]:
+    """Stream an Ethernet pcap as ``(timestamp, frame)`` pairs.
+
+    Reads ``buffer_size`` blocks and walks each one record header at a
+    time; a record cut by a block boundary is carried into the next
+    block, so memory stays one block plus one record.  Every frame is
+    sliced out as its own ``bytes`` object and never pins its block.
+    Handles both byte orders; rejects nanosecond-format and
+    non-Ethernet captures, and any record longer than
+    :data:`MAX_SNAPLEN` before buffering its body; a capture that ends
+    mid-record raises :class:`~repro.errors.PcapError` naming the byte
+    offset of the short record instead of silently truncating.
+    Caller-owned streams are left open.
+    """
+    reader, owns = _open_reader(source)
+    try:
+        read = reader.read
+        buf = b""
+        while len(buf) < _GLOBAL_HEADER.size:
+            block = read(buffer_size)
+            if not block:
+                raise PcapError("pcap: file shorter than the global header")
+            buf += block
+        magic_le = struct.unpack_from("<I", buf)[0]
+        if magic_le == PCAP_MAGIC:
+            endian = "<"
+        elif struct.unpack_from(">I", buf)[0] == PCAP_MAGIC:
+            endian = ">"
+        else:
+            raise PcapError(f"pcap: unrecognized magic 0x{magic_le:08x}")
+        linktype = struct.unpack_from(endian + "IHHiIII", buf)[6]
+        if linktype != _LINKTYPE_ETHERNET:
+            raise PcapError(f"pcap: linktype {linktype} is not Ethernet")
+        unpack_from = struct.Struct(endian + "IIII").unpack_from
+        head = _RECORD_HEADER.size
+        pos = _GLOBAL_HEADER.size  # next record's start within buf
+        base = 0  # file offset of buf[0]
+        index = 0
+        while True:
+            end = len(buf)
+            last = end - head  # the last offset a whole header starts at
+            while pos <= last:
+                seconds, micros, caplen, _origlen = unpack_from(buf, pos)
+                if caplen > MAX_SNAPLEN:
+                    raise PcapError(
+                        f"pcap: record {index} at byte offset {base + pos} "
+                        f"claims {caplen} captured bytes, above the "
+                        f"{MAX_SNAPLEN}-byte maximum snaplen"
+                    )
+                body = pos + head
+                stop = body + caplen
+                if stop > end:
+                    break
+                yield seconds + micros / 1_000_000, buf[body:stop]
+                pos = stop
+                index += 1
+            block = read(buffer_size)
+            if not block:
+                break
+            base += pos
+            buf = buf[pos:] + block
+            pos = 0
+        left = end - pos
+        if left == 0:
+            return
+        if left < head:
+            raise PcapError(
+                f"pcap: truncated record header at byte offset {base + pos} "
+                f"(record {index}: got {left} of {head} header bytes)"
+            )
+        raise PcapError(
+            f"pcap: truncated record body at byte offset {base + pos + head} "
+            f"(record {index}: got {left - head} of {caplen} bytes)"
+        )
+    finally:
+        if owns:
+            reader.close()
 
 
 def iter_pcap(
@@ -114,59 +224,14 @@ def iter_pcap(
 ) -> Iterator[TraceRecord]:
     """Stream an Ethernet pcap as :class:`TraceRecord` objects.
 
-    Generator over a fixed-size read buffer — the file is never
-    materialized, so multi-GB captures replay in O(``buffer_size``)
-    memory.  Handles both byte orders; rejects nanosecond-format and
-    non-Ethernet captures; a capture that ends mid-record raises
-    :class:`~repro.errors.PcapError` naming the byte offset of the
-    short record instead of silently truncating.
+    A view over :func:`iter_pcap_frames` (same memory bound, same
+    errors) that labels the ``i``-th record ``pcap[i]``, for the
+    offline analyzer.
     """
-    reader, owns = _open_reader(source, buffer_size)
-    try:
-        head = reader.read(_GLOBAL_HEADER.size)
-        if len(head) < _GLOBAL_HEADER.size:
-            raise PcapError("pcap: file shorter than the global header")
-        magic_le = struct.unpack("<I", head[:4])[0]
-        if magic_le == PCAP_MAGIC:
-            endian = "<"
-        elif struct.unpack(">I", head[:4])[0] == PCAP_MAGIC:
-            endian = ">"
-        else:
-            raise PcapError(f"pcap: unrecognized magic 0x{magic_le:08x}")
-        header = struct.Struct(endian + "IHHiIII")
-        record_header = struct.Struct(endian + "IIII")
-        (_, _, _, _, _, _, linktype) = header.unpack(head)
-        if linktype != _LINKTYPE_ETHERNET:
-            raise PcapError(f"pcap: linktype {linktype} is not Ethernet")
-        offset = header.size
-        index = 0
-        while True:
-            raw_header = reader.read(record_header.size)
-            if not raw_header:
-                return
-            if len(raw_header) < record_header.size:
-                raise PcapError(
-                    f"pcap: truncated record header at byte offset {offset} "
-                    f"(record {index}: got {len(raw_header)} of "
-                    f"{record_header.size} header bytes)"
-                )
-            seconds, micros, caplen, _origlen = record_header.unpack(raw_header)
-            offset += record_header.size
-            frame = reader.read(caplen)
-            if len(frame) < caplen:
-                raise PcapError(
-                    f"pcap: truncated record body at byte offset {offset} "
-                    f"(record {index}: got {len(frame)} of {caplen} bytes)"
-                )
-            offset += caplen
-            yield TraceRecord(
-                time=seconds + micros / 1_000_000,
-                location=f"pcap[{index}]",
-                direction=Direction.RX,
-                frame=frame,
-            )
-            index += 1
-    finally:
-        if owns:
-            reader.close()
-
+    for index, (time, frame) in enumerate(iter_pcap_frames(source, buffer_size)):
+        yield TraceRecord(
+            time=time,
+            location=f"pcap[{index}]",
+            direction=Direction.RX,
+            frame=frame,
+        )

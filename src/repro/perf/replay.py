@@ -2,8 +2,9 @@
 
 Companion to :mod:`repro.perf.bench` and :mod:`repro.perf.scale`: this
 suite measures the streaming-ingest path of :mod:`repro.replay` — raw
-synthetic-source generation, the batched engine with no scheme
-installed, and the headline cell, a full arpwatch replay — and gates
+synthetic-source generation, pcap parsing out of :class:`PcapSource`,
+the batched engine with no scheme installed, and the headline cell, a
+full arpwatch replay — and gates
 them against a committed ``BENCH_replay.json`` with the same
 :func:`~repro.perf.bench.check` machinery, folded into ``repro bench
 --check`` exactly like the scale suite.
@@ -15,11 +16,14 @@ through the batched monitor tap.
 
 from __future__ import annotations
 
+import tempfile
 import time
+from pathlib import Path
 from typing import Dict
 
+from repro.analysis.pcap import PcapWriter
 from repro.replay.engine import _run_replay
-from repro.replay.sources import SyntheticSource
+from repro.replay.sources import FrameSource, PcapSource, SyntheticSource
 
 __all__ = [
     "DEFAULT_REPLAY_BASELINE",
@@ -35,6 +39,7 @@ DEFAULT_REPLAY_BASELINE = "BENCH_replay.json"
 REPLAY_BENCHMARKS = frozenset(
     {
         "replay_source_fps",
+        "replay_pcap_source_fps",
         "replay_engine_fps",
         "replay_arpwatch_fps",
     }
@@ -50,18 +55,30 @@ def _trace(frames: int) -> SyntheticSource:
     return SyntheticSource(frames=frames, seed=7)
 
 
-def _bench_source(quick: bool) -> float:
-    """Raw synthetic generation rate: frames/sec out of the generator."""
-    frames = 100_000 if quick else 200_000
+def _bench_source(source: FrameSource, quick: bool) -> float:
+    """Best rate (frames/sec) of iterating a re-iterable source to its end."""
     best = 0.0
     for _ in range(2 if quick else 3):
-        source = _trace(frames)
         start = time.perf_counter()
         n = sum(1 for _ in source)
         elapsed = time.perf_counter() - start
         if elapsed > 0:
             best = max(best, n / elapsed)
     return best
+
+
+def _bench_pcap_source(frames: int, quick: bool) -> float:
+    """pcap parse rate out of :class:`PcapSource`.
+
+    The canonical trace is written to a temporary pcap once; only the
+    reads are timed.
+    """
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.pcap"
+        with PcapWriter(path) as writer:
+            for timestamp, frame in _trace(frames):
+                writer.append_frame(timestamp, frame)
+        return _bench_source(PcapSource(path), quick)
 
 
 def _bench_engine(quick: bool, scheme: str | None) -> float:
@@ -77,7 +94,9 @@ def _bench_engine(quick: bool, scheme: str | None) -> float:
 def run_replay_suite(quick: bool = False) -> Dict[str, float]:
     """Run the replay benchmarks; returns ``{name: frames_per_sec}``."""
     results: Dict[str, float] = {}
-    results["replay_source_fps"] = _bench_source(quick)
+    frames = 100_000 if quick else 200_000
+    results["replay_source_fps"] = _bench_source(_trace(frames), quick)
+    results["replay_pcap_source_fps"] = _bench_pcap_source(frames, quick)
     results["replay_engine_fps"] = _bench_engine(quick, scheme=None)
     results["replay_arpwatch_fps"] = _bench_engine(quick, scheme="arpwatch")
     return results

@@ -10,8 +10,8 @@ O(window) memory.
 Three implementations:
 
 * :class:`PcapSource` — streams a classic libpcap capture through
-  :func:`repro.analysis.pcap.iter_pcap` (fixed read buffer, never
-  materializes the file);
+  :func:`repro.analysis.pcap.iter_pcap_frames` (fixed-size blocks,
+  never materializes the file);
 * :class:`SyntheticSource` — a seeded, re-iterable generator of ARP
   churn plus a benign TCP/UDP mix at a configurable rate, following the
   ``repro.faults`` rng-stream discipline (`random.Random(f"{seed}/…")`);
@@ -135,9 +135,10 @@ class FrameSource:
 class PcapSource(FrameSource):
     """Stream a classic libpcap capture, one frame at a time.
 
-    Wraps :func:`repro.analysis.pcap.iter_pcap`, so the file is read
-    through a fixed-size buffer and a capture that ends mid-record
-    raises :class:`~repro.errors.PcapError` naming the byte offset.
+    Wraps :func:`repro.analysis.pcap.iter_pcap_frames`, so the file is
+    read in fixed-size blocks (memory: one block plus one record) and a
+    capture that ends mid-record raises :class:`~repro.errors.PcapError`
+    naming the byte offset.
     Timestamps carry pcap's microsecond resolution.
     """
 
@@ -150,14 +151,14 @@ class PcapSource(FrameSource):
             raise ReplayError(f"pcap source: no such file {str(self.path)!r}")
 
     def __iter__(self) -> Iterator[Tuple[float, bytes]]:
-        from repro.analysis.pcap import iter_pcap
+        from repro.analysis.pcap import iter_pcap_frames
 
         self.frames_read = 0
         self.bytes_read = 0
-        for record in iter_pcap(self.path):
+        for ts, frame in iter_pcap_frames(self.path):
             self.frames_read += 1
-            self.bytes_read += len(record.frame)
-            yield record.time, record.frame
+            self.bytes_read += len(frame)
+            yield ts, frame
 
     @property
     def spec_string(self) -> str:

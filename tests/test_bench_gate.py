@@ -15,6 +15,7 @@ from repro.perf.bench import (
     expected_benchmark_names,
     load_baseline,
 )
+from repro.perf.replay import DEFAULT_REPLAY_BASELINE, REPLAY_BENCHMARKS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE = REPO_ROOT / "BENCH_wire.json"
@@ -43,6 +44,16 @@ class TestCommittedBaseline:
         least 2.5x the pre-batching 223k deliveries/sec record."""
         baseline = load_baseline(BASELINE)
         assert baseline["broadcast_flood_deliveries"] >= 2.5 * 223182
+
+    def test_replay_baseline_keys_exactly_match_the_suite(self):
+        """Same pin for ``BENCH_replay.json``: every replay key, the pcap
+        source among them, has a committed floor."""
+        baseline = set(load_baseline(REPO_ROOT / DEFAULT_REPLAY_BASELINE))
+        assert baseline == REPLAY_BENCHMARKS, (
+            f"baseline/suite drift: only in baseline "
+            f"{baseline - REPLAY_BENCHMARKS}, only in suite "
+            f"{REPLAY_BENCHMARKS - baseline}"
+        )
 
 
 class TestCheckFailsLoudly:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import pytest
@@ -11,13 +12,17 @@ from hypothesis import strategies as st
 
 from repro.analysis.forensics import OfflineArpAnalyzer
 from repro.analysis.pcap import (
+    MAX_SNAPLEN,
     PCAP_MAGIC,
+    READ_BUFFER,
     PcapWriter,
     iter_pcap,
+    iter_pcap_frames,
 )
 from repro.attacks.mitm import MitmAttack
 from repro.errors import CodecError, PcapError
 from repro.l2.topology import Lan
+from repro.replay.sources import PcapSource
 from repro.sim.trace import Direction, TraceRecord
 from repro.stack.os_profiles import WINDOWS_XP
 
@@ -201,6 +206,173 @@ class TestErrors:
 
     def test_pcap_error_is_a_codec_error(self):
         assert issubclass(PcapError, CodecError)
+
+
+def reference_iter_pcap(reader):
+    """The record-by-record reader the block parser replaced.
+
+    Two ``read()`` calls per record; kept verbatim as the reference the
+    block parser must match pair for pair and error for error.
+    """
+    head = reader.read(24)
+    if len(head) < 24:
+        raise PcapError("pcap: file shorter than the global header")
+    magic_le = struct.unpack("<I", head[:4])[0]
+    if magic_le == PCAP_MAGIC:
+        endian = "<"
+    elif struct.unpack(">I", head[:4])[0] == PCAP_MAGIC:
+        endian = ">"
+    else:
+        raise PcapError(f"pcap: unrecognized magic 0x{magic_le:08x}")
+    header = struct.Struct(endian + "IHHiIII")
+    record_header = struct.Struct(endian + "IIII")
+    (_, _, _, _, _, _, linktype) = header.unpack(head)
+    if linktype != 1:
+        raise PcapError(f"pcap: linktype {linktype} is not Ethernet")
+    offset = header.size
+    index = 0
+    while True:
+        raw_header = reader.read(record_header.size)
+        if not raw_header:
+            return
+        if len(raw_header) < record_header.size:
+            raise PcapError(
+                f"pcap: truncated record header at byte offset {offset} "
+                f"(record {index}: got {len(raw_header)} of "
+                f"{record_header.size} header bytes)"
+            )
+        seconds, micros, caplen, _origlen = record_header.unpack(raw_header)
+        offset += record_header.size
+        frame = reader.read(caplen)
+        if len(frame) < caplen:
+            raise PcapError(
+                f"pcap: truncated record body at byte offset {offset} "
+                f"(record {index}: got {len(frame)} of {caplen} bytes)"
+            )
+        offset += caplen
+        yield TraceRecord(
+            time=seconds + micros / 1_000_000,
+            location=f"pcap[{index}]",
+            direction=Direction.RX,
+            frame=frame,
+        )
+        index += 1
+
+
+def pcap_bytes(records, endian):
+    """A classic pcap in byte order ``endian`` of ``(sec, usec, frame)``."""
+    out = [struct.pack(endian + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)]
+    for seconds, micros, frame in records:
+        out.append(struct.pack(endian + "IIII", seconds, micros, len(frame), len(frame)))
+        out.append(frame)
+    return b"".join(out)
+
+
+def drain(stream):
+    """Items up to the first error, and that error's text (or None)."""
+    items = []
+    try:
+        for item in stream:
+            items.append(item)
+    except PcapError as exc:
+        return items, str(exc)
+    return items, None
+
+
+def pcap_records(max_size):
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=0, max_value=999_999),
+            st.binary(max_size=64),  # zero-length frames included
+        ),
+        max_size=max_size,
+    )
+
+
+buffer_sizes = st.sampled_from([1, 15, 16, 17, 1000, READ_BUFFER])
+byte_orders = st.sampled_from(["<", ">"])
+
+
+class TestBlockParserEquivalence:
+    @settings(max_examples=100, deadline=None)
+    @given(records=pcap_records(12), buffer_size=buffer_sizes, endian=byte_orders)
+    def test_parser_matches_record_reader(self, records, buffer_size, endian):
+        data = pcap_bytes(records, endian)
+        expected = list(reference_iter_pcap(io.BytesIO(data)))
+        pairs = list(iter_pcap_frames(io.BytesIO(data), buffer_size))
+        assert pairs == [(r.time, r.frame) for r in expected]
+        assert all(type(frame) is bytes for _, frame in pairs)
+        views = list(iter_pcap(io.BytesIO(data), buffer_size))
+        assert [(r.time, r.location, r.frame) for r in views] == [
+            (r.time, r.location, r.frame) for r in expected
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        records=pcap_records(6),
+        buffer_size=buffer_sizes,
+        endian=byte_orders,
+    )
+    def test_every_cut_raises_the_same_error(self, records, buffer_size, endian):
+        data = pcap_bytes(records, endian)
+        for cut in range(len(data)):
+            expected, expected_error = drain(reference_iter_pcap(io.BytesIO(data[:cut])))
+            pairs, error = drain(iter_pcap_frames(io.BytesIO(data[:cut]), buffer_size))
+            assert error == expected_error, cut
+            assert pairs == [(r.time, r.frame) for r in expected], cut
+
+    def test_pcap_source_yields_the_parser_pairs(self, tmp_path):
+        path = tmp_path / "s.pcap"
+        records = [(i, i * 7, bytes([i]) * (i % 5 * 20)) for i in range(50)]
+        path.write_bytes(pcap_bytes(records, "<"))
+        source = PcapSource(path)
+        assert list(source) == list(iter_pcap_frames(path))
+        assert source.frames_read == 50
+        assert source.bytes_read == sum(len(frame) for _, _, frame in records)
+
+
+class TestRobustness:
+    # The last case rounds up to 2**32 seconds through the microsecond carry.
+    @pytest.mark.parametrize("timestamp", [-0.5, 2**32 + 1.0, math.nextafter(2.0**32, 0)])
+    def test_unrepresentable_timestamp_rejected(self, timestamp):
+        buf = io.BytesIO()
+        with PcapWriter(buf) as writer:
+            writer.append_frame(1.0, b"\x01" * 60)
+            size = buf.tell()
+            with pytest.raises(PcapError) as info:
+                writer.append_frame(timestamp, b"\x02" * 60)
+            assert repr(timestamp) in str(info.value)
+            assert "0 to 4294967295.999999 seconds" in str(info.value)
+            assert buf.tell() == size  # nothing written for that record
+            assert writer.count == 1
+        buf.seek(0)
+        assert [r.frame for r in iter_pcap(buf)] == [b"\x01" * 60]
+
+    def test_impossible_caplen_rejected_before_buffering(self):
+        """A corrupt ``caplen`` fails at once, naming where, instead of
+        buffering the rest of the capture as the record body."""
+
+        class CountingReader(io.BytesIO):
+            taken = 0
+
+            def read(self, size=-1):
+                chunk = super().read(size)
+                self.taken += len(chunk)
+                return chunk
+
+        header = struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, 65535, 1)
+        good = struct.pack("<IIII", 0, 0, 4, 4) + b"abcd"
+        bad = struct.pack("<IIII", 1, 0, 0xFFFFFFF0, 0xFFFFFFF0)
+        reader = CountingReader(header + good + bad + b"\x00" * (4 * READ_BUFFER))
+        with pytest.raises(PcapError, match=r"record 1 at byte offset 44.*4294967280"):
+            list(iter_pcap_frames(reader))
+        assert reader.taken <= READ_BUFFER
+
+    def test_max_snaplen_record_accepted(self):
+        frame = b"\x05" * MAX_SNAPLEN
+        pairs = list(iter_pcap_frames(io.BytesIO(pcap_bytes([(1, 0, frame)], ">"))))
+        assert pairs == [(1.0, frame)]
 
 
 class TestEndToEnd:
